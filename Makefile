@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint test ci bench bench-json bench-diff run-experiments cover fmt fmt-check fault-smoke fault-golden daemon-smoke
+.PHONY: all build vet lint test ci bench bench-json bench-diff run-experiments cover fmt fmt-check fault-smoke fault-golden daemon-smoke fuzz
 
 all: build vet test
 
@@ -48,6 +48,13 @@ fault-smoke:
 
 fault-golden:
 	go run ./cmd/mrmsim -exp e30 -seed 42 -fault-rate 1e-3 -fault-seed 7 -parallel 8 > testdata/e30_golden.txt
+
+# fuzz runs the zoned-controller differential fuzzer for 30 s: random op
+# sequences (with device write faults armed) must keep the controller's
+# free-byte counter, deadline index and least-worn index equal to full
+# scans. The checked-in seed corpus also runs as part of `go test`.
+fuzz:
+	go test -run '^$$' -fuzz FuzzZoned -fuzztime 30s ./internal/controller
 
 # daemon-smoke drills the mrmd serving daemon end-to-end: start on an
 # ephemeral port, probe /healthz and /readyz, submit a request, arm /chaos,

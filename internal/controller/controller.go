@@ -12,6 +12,7 @@ package controller
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -203,12 +204,21 @@ func (z *Zone) Remaining() units.Bytes { return z.Size - z.WritePtr }
 // zones, explicit reset, per-zone retention programming. It owns a
 // memdev.Device for cost accounting. Zoned is not safe for concurrent use;
 // the control plane above serializes access.
+//
+// The three questions the control plane asks on its hot path — how much
+// space is free, which zones are due to expire, which empty zone is least
+// worn — are answered from indexes that every zone state change keeps
+// current, never by a scan of all zones.
 type Zoned struct {
 	dev      *memdev.Device
 	zoneSize units.Bytes
 	zones    []Zone
 	spanBuf  []memdev.Span // scratch for ReadVec/AppendVec, reused across calls
 	undoBuf  []appendUndo  // scratch for AppendVec rollback, reused across calls
+
+	free   units.Bytes // bytes in empty zones plus the unwritten tail of open zones
+	expiry zoneHeap    // open/full zones holding data under a retention, by (deadline, id)
+	empty  zoneHeap    // empty zones, by (resets, id)
 }
 
 // NewZoned carves the device into zones of zoneSize bytes.
@@ -221,9 +231,17 @@ func NewZoned(dev *memdev.Device, zoneSize units.Bytes) (*Zoned, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("controller: zone size %v exceeds capacity %v", zoneSize, cap)
 	}
-	z := &Zoned{dev: dev, zoneSize: zoneSize, zones: make([]Zone, n)}
+	z := &Zoned{
+		dev:      dev,
+		zoneSize: zoneSize,
+		zones:    make([]Zone, n),
+		free:     units.Bytes(n) * zoneSize,
+		expiry:   newZoneHeap(n),
+		empty:    newZoneHeap(n),
+	}
 	for i := range z.zones {
 		z.zones[i] = Zone{ID: i, Start: units.Bytes(i) * zoneSize, Size: zoneSize}
+		z.empty.add(i, 0)
 	}
 	return z, nil
 }
@@ -254,6 +272,7 @@ func (z *Zoned) Open(id int, retention time.Duration) error {
 	}
 	zn.State = ZoneOpen
 	zn.Retention = retention
+	z.empty.remove(id)
 	return nil
 }
 
@@ -277,10 +296,7 @@ func (z *Zoned) Append(id int, size units.Bytes) (memdev.Result, error) {
 	if err != nil {
 		return memdev.Result{}, err
 	}
-	zn.WritePtr += size
-	if zn.Remaining() == 0 {
-		zn.State = ZoneFull
-	}
+	z.advance(zn, size)
 	return res, nil
 }
 
@@ -412,10 +428,7 @@ func (z *Zoned) AppendVec(reqs []AppendReq, results []memdev.Result) (int, error
 			u.stamped = true
 		}
 		z.spanBuf = append(z.spanBuf, memdev.Span{Addr: zn.Start + zn.WritePtr, Size: r.Size})
-		zn.WritePtr += r.Size
-		if zn.Remaining() == 0 {
-			zn.State = ZoneFull
-		}
+		z.advance(zn, r.Size)
 		z.undoBuf = append(z.undoBuf, u)
 	}
 	return z.flushAppends(results)
@@ -431,6 +444,11 @@ func (z *Zoned) flushAppends(results []memdev.Result) (int, error) {
 			u := &z.undoBuf[k]
 			u.zone.WritePtr -= u.size
 			u.zone.State = u.prevState
+			z.free += u.size
+			if u.stamped {
+				// Back to an unwritten zone: nothing of it can expire.
+				z.expiry.remove(u.zone.ID)
+			}
 			// The failing request itself keeps its WrittenAt stamp — the
 			// sequential path stamps before the device write; requests after it
 			// never ran at all.
@@ -440,6 +458,30 @@ func (z *Zoned) flushAppends(results []memdev.Result) (int, error) {
 		}
 	}
 	return done, err
+}
+
+// advance moves zn's write pointer past size freshly appended bytes, filling
+// the zone when it runs out of room. The first append to a zone (stamped at
+// WrittenAt by the caller) enters it in the deadline index.
+func (z *Zoned) advance(zn *Zone, size units.Bytes) {
+	if zn.WritePtr == 0 && zn.Retention > 0 {
+		z.expiry.add(zn.ID, int64(deadline(zn)))
+	}
+	zn.WritePtr += size
+	z.free -= size
+	if zn.Remaining() == 0 {
+		zn.State = ZoneFull
+	}
+}
+
+// deadline is when zn's data stops being reliable: its first write plus its
+// programmed retention, saturated so a retention too long to represent
+// never comes due.
+func deadline(zn *Zone) time.Duration {
+	if zn.Retention > math.MaxInt64-zn.WrittenAt {
+		return math.MaxInt64
+	}
+	return zn.WrittenAt + zn.Retention
 }
 
 // CancelOpen reverts an Open on a zone that was never appended to, returning
@@ -457,6 +499,7 @@ func (z *Zoned) CancelOpen(id int) error {
 	}
 	zn.State = ZoneEmpty
 	zn.Retention = 0
+	z.empty.add(id, int64(zn.Resets))
 	return nil
 }
 
@@ -469,39 +512,96 @@ func (z *Zoned) Reset(id int) error {
 	if zn.State == ZoneEmpty {
 		return fmt.Errorf("controller: reset of already-empty zone %d", id)
 	}
+	if zn.State == ZoneOpen {
+		z.free += zn.WritePtr
+	} else {
+		z.free += zn.Size
+	}
+	z.expiry.remove(id)
 	zn.State = ZoneEmpty
 	zn.WritePtr = 0
 	zn.Retention = 0
 	zn.Resets++
+	z.empty.add(id, int64(zn.Resets))
 	return nil
 }
 
 // ExpireDue marks zones whose retention deadline has passed as expired and
-// returns their ids. The control plane calls this after advancing time.
+// returns their ids in ascending order. The control plane calls this after
+// advancing time. It visits only the zones that are due, so a call with
+// nothing to expire costs O(1) and allocates nothing.
 func (z *Zoned) ExpireDue() []int {
 	now := z.dev.Now()
 	var expired []int
-	for i := range z.zones {
-		zn := &z.zones[i]
-		if (zn.State == ZoneOpen || zn.State == ZoneFull) && zn.WritePtr > 0 &&
-			zn.Retention > 0 && now-zn.WrittenAt >= zn.Retention {
-			zn.State = ZoneExpired
-			expired = append(expired, i)
+	for id := z.expiry.min(); id >= 0 && time.Duration(z.expiry.key[id]) <= now; id = z.expiry.min() {
+		z.expiry.remove(id)
+		zn := &z.zones[id]
+		if zn.State == ZoneOpen {
+			z.free -= zn.Remaining()
 		}
+		zn.State = ZoneExpired
+		expired = append(expired, id)
 	}
+	sort.Ints(expired)
 	return expired
 }
 
-// LeastWornEmpty returns the id of the empty zone with the fewest resets,
-// or -1 if no zone is empty. This is the software wear-leveling primitive.
-func (z *Zoned) LeastWornEmpty() int {
-	best, bestResets := -1, int(^uint(0)>>1)
+// LeastWornEmpty returns the id of the empty zone with the fewest resets
+// (the lowest such id on a tie), or -1 if no zone is empty. This is the
+// software wear-leveling primitive.
+func (z *Zoned) LeastWornEmpty() int { return z.empty.min() }
+
+// FreeBytes returns the bytes still writable without a reset: all of every
+// empty zone plus the unwritten tail of every open zone.
+func (z *Zoned) FreeBytes() units.Bytes { return z.free }
+
+// CheckInvariants verifies the incremental indexes against a scan of every
+// zone: the free-byte counter, deadline-index membership (exactly the open or
+// full zones holding data under a nonzero retention) and keys, and the
+// empty-zone index, whose minimum must be the least-worn empty zone. Tests
+// call it after workloads.
+func (z *Zoned) CheckInvariants() error {
+	if err := z.expiry.check(); err != nil {
+		return fmt.Errorf("controller: deadline index: %w", err)
+	}
+	if err := z.empty.check(); err != nil {
+		return fmt.Errorf("controller: empty-zone index: %w", err)
+	}
+	var free units.Bytes
+	leastWorn := -1
 	for i := range z.zones {
-		if z.zones[i].State == ZoneEmpty && z.zones[i].Resets < bestResets {
-			best, bestResets = i, z.zones[i].Resets
+		zn := &z.zones[i]
+		switch zn.State {
+		case ZoneEmpty:
+			free += zn.Size
+			if leastWorn < 0 || zn.Resets < z.zones[leastWorn].Resets {
+				leastWorn = i
+			}
+		case ZoneOpen:
+			free += zn.Remaining()
+		}
+		expires := (zn.State == ZoneOpen || zn.State == ZoneFull) && zn.WritePtr > 0 && zn.Retention > 0
+		if z.expiry.has(i) != expires {
+			return fmt.Errorf("controller: zone %d (%v, write pointer %v, retention %v): in deadline index = %v",
+				i, zn.State, zn.WritePtr, zn.Retention, z.expiry.has(i))
+		}
+		if expires && time.Duration(z.expiry.key[i]) != deadline(zn) {
+			return fmt.Errorf("controller: zone %d deadline indexed at %v, want %v", i, time.Duration(z.expiry.key[i]), deadline(zn))
+		}
+		if z.empty.has(i) != (zn.State == ZoneEmpty) {
+			return fmt.Errorf("controller: zone %d (%v): in empty-zone index = %v", i, zn.State, z.empty.has(i))
+		}
+		if zn.State == ZoneEmpty && z.empty.key[i] != int64(zn.Resets) {
+			return fmt.Errorf("controller: zone %d indexed at %d resets, has %d", i, z.empty.key[i], zn.Resets)
 		}
 	}
-	return best
+	if free != z.free {
+		return fmt.Errorf("controller: free counter %v != recount %v", z.free, free)
+	}
+	if got := z.empty.min(); got != leastWorn {
+		return fmt.Errorf("controller: least-worn empty zone indexed as %d, scan finds %d", got, leastWorn)
+	}
+	return nil
 }
 
 // WearSpread returns max and mean zone reset counts; a host wear-leveler

@@ -324,17 +324,24 @@ func (s *service) failCalls(n *node, err error) {
 	}
 }
 
-// failNode handles a permanent node failure: every in-flight call on the
-// node fails with ErrNodeFailed, and the node is rebuilt from the builder so
-// the poisoned sim state cannot leak into later requests.
+// failNode handles a permanent node failure: the node is rebuilt from the
+// builder so the poisoned sim state cannot leak into later requests, and
+// every in-flight call on it fails with ErrNodeFailed. The rebuild and its
+// counters come first, so a client that sees the failure also sees the
+// node already replaced in /metrics.
 func (s *service) failNode(n *node, cause error) {
 	s.reg.Counter("mrmd_node_failures_total").Inc()
+	s.rebuildNode(n)
 	// The cause is flattened with %v on purpose: a node failure is permanent
 	// (the retry budget is spent, the node is rebuilt), and wrapping a
 	// transient cause like fault.ErrUncorrectable with %w would make
 	// Retryable resurrect it. TestFailNodeErrorNotRetryable pins this.
 	//mrm:allow-errcmp flattening is deliberate: ErrNodeFailed is permanent; %w on the cause would make Retryable match it again
 	s.failCalls(n, fmt.Errorf("%w (node %d): %v", ErrNodeFailed, n.idx, cause))
+}
+
+// rebuildNode replaces the node's sim with a fresh one from the builder.
+func (s *service) rebuildNode(n *node) {
 	nd, err := s.cfg.Build(n.idx)
 	if err != nil || nd.Sim == nil {
 		// Can't rebuild: keep the old sim — requests will keep failing and

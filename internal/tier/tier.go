@@ -650,7 +650,7 @@ type Manager struct {
 	infoBuf      []Info   // scratch for Put/PutBatch placement, reused across calls
 	// readBW caches each backend's read bandwidth, which is fixed at device
 	// construction; ReadTime runs per decode step and must not pay Info()
-	// (an MRM Info scans zones for its Free count) to learn a constant.
+	// (an MRM Info copies its retention-class list) to learn a constant.
 	readBW []units.Bandwidth
 
 	// Backoff is the base delay charged before a Reseat attempt (the
