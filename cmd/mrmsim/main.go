@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,48 +29,58 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run holds main's body so deferred profile writers execute before exit.
-func run() int {
-	exp := flag.String("exp", "all", "comma-separated experiments to run (e1..e30, or all)")
-	kvGiB := flag.Uint64("kv-gib", 48, "KV region capacity in GiB for Figure 1")
-	reqs := flag.Int("reqs", 24, "requests for the serving comparison (e7)")
-	seed := flag.Uint64("seed", 42, "deterministic seed")
-	parallel := flag.Int("parallel", runtime.NumCPU(),
+// run holds main's body so deferred profile writers execute before exit. It
+// writes the experiment tables to stdout and diagnostics to stderr, and
+// returns the exit code: 0 on success, 1 if an experiment failed, 2 on a
+// flag error. The golden tests call it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mrmsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiments to run (e1..e30, or all)")
+	kvGiB := fs.Uint64("kv-gib", 48, "KV region capacity in GiB for Figure 1")
+	reqs := fs.Int("reqs", 24, "requests for the serving comparison (e7)")
+	seed := fs.Uint64("seed", 42, "deterministic seed")
+	parallel := fs.Int("parallel", runtime.NumCPU(),
 		"sweep worker-pool size (1 = serial; results are identical at any setting)")
-	faultRate := flag.Float64("fault-rate", 1e-3,
+	faultRate := fs.Float64("fault-rate", 1e-3,
 		"peak per-read fault rate for the e30 degradation sweep (transient + retention-lapse)")
-	faultSeed := flag.Uint64("fault-seed", 7,
+	faultSeed := fs.Uint64("fault-seed", 7,
 		"seed for the deterministic fault streams (e30); results are identical across runs and -parallel settings")
-	fleetNodes := flag.Int("fleet-nodes", 1000, "fleetday: node count")
-	fleetRate := flag.Float64("fleet-rate", 25, "fleetday: fleet-wide request rate (req/s)")
-	fleetHours := flag.Float64("fleet-hours", 24, "fleetday: simulated day length in hours")
-	fleetMix := flag.String("fleet-mix", "0.5,0.3,0.2",
+	fleetNodes := fs.Int("fleet-nodes", 1000, "fleetday: node count")
+	fleetRate := fs.Float64("fleet-rate", 25, "fleetday: fleet-wide request rate (req/s)")
+	fleetHours := fs.Float64("fleet-hours", 24, "fleetday: simulated day length in hours")
+	fleetMix := fs.String("fleet-mix", "0.5,0.3,0.2",
 		"fleetday: SLA class mix (interactive,throughput,best-effort)")
-	fleetWindow := flag.Int("fleet-window", 0,
+	fleetWindow := fs.Int("fleet-window", 0,
 		"fleetday: streamed execution window in requests (0 = default); peak memory is O(nodes x window)")
-	fleetMem := flag.String("fleet-mem", "hbm",
+	fleetMem := fs.String("fleet-mem", "hbm",
 		"fleetday: node memory system (hbm, lpddr, mrm, hbf)")
-	progress := flag.Bool("progress", false,
+	progress := fs.Bool("progress", false,
 		"fleetday: periodic requests/sec + ETA lines on stderr (stdout tables are unaffected)")
-	timing := flag.Bool("timing", false,
+	timing := fs.Bool("timing", false,
 		"report per-experiment wall-clock time on stderr (stdout tables are unaffected)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	mrm.SetParallelism(*parallel)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -77,13 +89,13 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle allocations so the heap profile reflects live data
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 			}
 		}()
 	}
@@ -105,7 +117,7 @@ func run() int {
 			return
 		}
 		elapsed := time.Since(timingStart) //mrm:allow-nondet -timing reports wall-clock to stderr only; stdout is unaffected
-		fmt.Fprintf(os.Stderr, "timing: %-4s %v\n", timingName, elapsed)
+		fmt.Fprintf(stderr, "timing: %-4s %v\n", timingName, elapsed)
 		timingName = ""
 	}
 	run := func(name string) bool {
@@ -121,14 +133,14 @@ func run() int {
 	}
 	var failed bool
 	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		fmt.Fprintf(stderr, "%s: %v\n", name, err)
 		failed = true
 	}
 
 	if run("e1") {
 		res := mrm.RunFigure1(units.Bytes(*kvGiB) * units.GiB)
-		fmt.Println(res.Chart)
-		fmt.Println(res.Table)
+		fmt.Fprintln(stdout, res.Chart)
+		fmt.Fprintln(stdout, res.Table)
 	}
 	if run("e2") {
 		_, tab, err := mrm.RunReadWriteRatio(llm.Llama2_70B, llm.B200,
@@ -136,25 +148,25 @@ func run() int {
 		if err != nil {
 			fail("e2", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e3") {
-		fmt.Println(mrm.RunCapacityBreakdown(8192, 16))
+		fmt.Fprintln(stdout, mrm.RunCapacityBreakdown(8192, 16))
 	}
 	if run("e4") {
 		res, err := mrm.RunSequentiality(llm.Llama2_70B, 16, 8, 512, 32, *seed)
 		if err != nil {
 			fail("e4", err)
 		} else {
-			fmt.Println(res.Table)
+			fmt.Fprintln(stdout, res.Table)
 		}
 	}
 	if run("e5") {
-		fmt.Println(mrm.RunRefreshOverhead().Table)
+		fmt.Fprintln(stdout, mrm.RunRefreshOverhead().Table)
 	}
 	if run("e6") {
-		fmt.Println(mrm.RunDeviceComparison())
+		fmt.Fprintln(stdout, mrm.RunDeviceComparison())
 	}
 	if run("e7") {
 		p := mrm.DefaultServingParams()
@@ -164,7 +176,7 @@ func run() int {
 		if err != nil {
 			fail("e7", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e8") {
@@ -175,7 +187,7 @@ func run() int {
 		if err != nil {
 			fail("e8", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e9") {
@@ -183,7 +195,7 @@ func run() int {
 		if err != nil {
 			fail("e9", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e10") {
@@ -191,18 +203,18 @@ func run() int {
 		if err != nil {
 			fail("e10", err)
 		} else {
-			fmt.Println(res.Table)
+			fmt.Fprintln(stdout, res.Table)
 		}
 	}
 	if run("e11") {
-		fmt.Println(mrm.RunDensityRoadmap(llm.Frontier500B))
+		fmt.Fprintln(stdout, mrm.RunDensityRoadmap(llm.Frontier500B))
 	}
 	if run("e12") {
 		_, tab, err := mrm.RunBatchingLimits(llm.GPT3_175B, llm.B200, 4096, []int{1, 4, 16, 64})
 		if err != nil {
 			fail("e12", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e13") {
@@ -210,7 +222,7 @@ func run() int {
 		if err != nil {
 			fail("e13", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e14") {
@@ -218,7 +230,7 @@ func run() int {
 		if err != nil {
 			fail("e14", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e15") {
@@ -230,7 +242,7 @@ func run() int {
 		if err != nil {
 			fail("e15", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e16") {
@@ -238,16 +250,16 @@ func run() int {
 		if err != nil {
 			fail("e16", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e17") {
 		_, tab := mrm.RunModelSwap(llm.Llama2_70B)
-		fmt.Println(tab)
+		fmt.Fprintln(stdout, tab)
 	}
 	if run("e18") {
 		_, tab := mrm.RunIdleKVOffload(llm.Llama2_70B, 4096)
-		fmt.Println(tab)
+		fmt.Fprintln(stdout, tab)
 	}
 	if run("e19") {
 		p := mrm.DefaultServingParams()
@@ -257,7 +269,7 @@ func run() int {
 		if err != nil {
 			fail("e19", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e20") {
@@ -267,7 +279,7 @@ func run() int {
 		if err != nil {
 			fail("e20", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e21") {
@@ -277,7 +289,7 @@ func run() int {
 		if err != nil {
 			fail("e21", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e22") {
@@ -285,7 +297,7 @@ func run() int {
 		if err != nil {
 			fail("e22", err)
 		} else {
-			fmt.Println(res.Table)
+			fmt.Fprintln(stdout, res.Table)
 		}
 	}
 	if run("e23") {
@@ -293,7 +305,7 @@ func run() int {
 		if err != nil {
 			fail("e23", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e24") {
@@ -304,7 +316,7 @@ func run() int {
 		if err != nil {
 			fail("e24", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e25") {
@@ -312,7 +324,7 @@ func run() int {
 		if err != nil {
 			fail("e25", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e26") {
@@ -320,7 +332,7 @@ func run() int {
 		if err != nil {
 			fail("e26", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e27") {
@@ -332,7 +344,7 @@ func run() int {
 		if err != nil {
 			fail("e27", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e28") {
@@ -341,12 +353,12 @@ func run() int {
 		if err != nil {
 			fail("e28", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 	}
 	if run("e29") {
 		_, tab := mrm.RunAcceleratorCount(8192, 8)
-		fmt.Println(tab)
+		fmt.Fprintln(stdout, tab)
 	}
 	if run("e30") {
 		p := mrm.DefaultServingParams()
@@ -357,13 +369,13 @@ func run() int {
 		if err != nil {
 			fail("e30", err)
 		} else {
-			fmt.Println(tab)
+			fmt.Fprintln(stdout, tab)
 		}
 		_, tab2, err := mrm.RunFleetFailover(p, 3, 1, *faultRate, *faultSeed)
 		if err != nil {
 			fail("e30", err)
 		} else {
-			fmt.Println(tab2)
+			fmt.Fprintln(stdout, tab2)
 		}
 	}
 	// fleetday is opt-in only (-exp fleetday): the default million-user day
@@ -394,14 +406,14 @@ func run() int {
 			fail("fleetday", fmt.Errorf("unknown -fleet-mem %q", *fleetMem))
 		}
 		if *progress {
-			p.Progress = os.Stderr
+			p.Progress = stderr
 		}
 		if !failed {
 			_, tab, err := mrm.RunFleetDay(p)
 			if err != nil {
 				fail("fleetday", err)
 			} else {
-				fmt.Println(tab)
+				fmt.Fprintln(stdout, tab)
 			}
 		}
 	}
