@@ -13,8 +13,8 @@ import (
 )
 
 // benchNode builds one single-HBM serving node — both weights and KV pages
-// on the device tier — under the requested engine.
-func benchNode(b *testing.B, stepping bool) *Sim {
+// on the device tier.
+func benchNode(b *testing.B) *Sim {
 	b.Helper()
 	spec := memdev.HBM3E
 	spec.Capacity = 64 * units.GiB
@@ -35,7 +35,6 @@ func benchNode(b *testing.B, stepping bool) *Sim {
 		MaxBatch:    16,
 		KVLifetime:  30 * time.Minute,
 		ScratchTier: 0,
-		Stepping:    stepping,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -48,7 +47,7 @@ func benchNode(b *testing.B, stepping bool) *Sim {
 // per-step cost (weights read + per-page KV reads) is what this measures.
 func benchSim(b *testing.B) (*Sim, []Request) {
 	b.Helper()
-	sim := benchNode(b, false)
+	sim := benchNode(b)
 	g := Generator{
 		Workload:   llm.SplitwiseConv,
 		RatePerSec: 50,
@@ -141,16 +140,16 @@ func BenchmarkSimWritePath(b *testing.B) {
 	b.ReportMetric(float64(res.DecodeSteps), "steps")
 }
 
-// benchFleetRun is the shared body of the fleet benchmark under either
-// engine: a four-node fleet (each node the single-HBM benchNode
-// configuration) serving one token-balanced request stream serially, so
-// results are deterministic and the per-node decode/write loops dominate.
-func benchFleetRun(b *testing.B, stepping bool) {
+// BenchmarkFleetRun measures rack-scale orchestration end to end: a
+// four-node fleet (each node the single-HBM benchNode configuration) serving
+// one token-balanced request stream serially, so results are deterministic
+// and the per-node decode/write loops dominate.
+func BenchmarkFleetRun(b *testing.B) {
 	var res FleetResult
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		f, err := NewFleet(4, func(int) (*Sim, error) {
-			return benchNode(b, stepping), nil
+			return benchNode(b), nil
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -176,15 +175,6 @@ func benchFleetRun(b *testing.B, stepping bool) {
 	b.ReportMetric(res.TokensPerSec, "tokens/sec")
 }
 
-// BenchmarkFleetRun measures rack-scale orchestration end-to-end under the
-// discrete-event engine (the default).
-func BenchmarkFleetRun(b *testing.B) { benchFleetRun(b, false) }
-
-// BenchmarkFleetRunStepping runs the identical workload under the legacy
-// tick-by-tick engine: the before/after pair the event-engine speedup is
-// quoted from.
-func BenchmarkFleetRunStepping(b *testing.B) { benchFleetRun(b, true) }
-
 // BenchmarkFleetDay is the scale target: a 1000-node fleet serving a sparse
 // day-long Poisson stream (0.25 req/s fleet-wide over ~24 simulated hours),
 // run serially. The discrete-event engine jumps each node's clock between
@@ -196,7 +186,7 @@ func BenchmarkFleetDay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		f, err := NewFleet(1000, func(int) (*Sim, error) {
-			return benchNode(b, false), nil
+			return benchNode(b), nil
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -231,7 +221,7 @@ func benchFleetDayStream(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		f, err := NewFleet(1000, func(int) (*Sim, error) {
-			return benchNode(b, false), nil
+			return benchNode(b), nil
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -258,8 +248,8 @@ func benchFleetDayStream(b *testing.B, workers int) {
 }
 
 // BenchmarkFleetDayStream is the streamed fleet-day at Workers=1 — the
-// serial reference whose results are bit-identical to the batch twin; the
-// interesting deltas are B/op and allocs/op.
+// serial reference, with results bit-identical to BenchmarkFleetDay's
+// materialized slice; the interesting deltas are B/op and allocs/op.
 func BenchmarkFleetDayStream(b *testing.B) { benchFleetDayStream(b, 1) }
 
 // BenchmarkFleetDayStreamParallel is the same day through the pipelined

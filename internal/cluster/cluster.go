@@ -24,21 +24,6 @@ import (
 	"mrm/internal/units"
 )
 
-// defaultStepping selects the legacy tick-by-tick engine for sims whose
-// Config leaves Stepping unset. The default is the discrete-event engine;
-// the toggle exists so equivalence suites and benchmarks can run whole
-// experiment drivers under either engine without threading a flag through
-// every Config literal (mirroring sweep.SetDefaultWorkers).
-var defaultStepping bool
-
-// SetDefaultStepping switches the engine used by sims that don't set
-// Config.Stepping, returning the previous default.
-func SetDefaultStepping(on bool) bool {
-	prev := defaultStepping
-	defaultStepping = on
-	return prev
-}
-
 // SLAClass is a request's service class (§4: diversified requirements).
 type SLAClass int
 
@@ -301,13 +286,6 @@ type Config struct {
 	// piggybacked on the running batch, instead of a monolithic prefill
 	// that stalls every running decode.
 	PrefillChunk int
-	// Stepping selects the legacy tick-by-tick outer loop instead of the
-	// discrete-event calendar. Both engines share admission, decode, and
-	// accounting code and produce bit-identical results; the event engine
-	// additionally resolves KV reads into reusable plans (tier.ReadPlan),
-	// which is where its speed comes from. Kept for twin-instance
-	// equivalence suites and as a reference implementation.
-	Stepping bool
 	// IdleTick opts into advancing memory time through idle windows
 	// (segmented at every scrub/retention deadline, so no refresh or expiry
 	// fires late). The default preserves the original semantics — idle gaps
@@ -349,11 +327,9 @@ type running struct {
 	prefillLeft int // prompt tokens not yet ingested (chunked prefill)
 	chunk       int // this step's prefill chunk (scratch, valid within decodeStep)
 	pages       []tier.ObjectID
-	pageTiers   []int
-	// plan caches the resolved read path of pages (event engine only): the
-	// per-step KV read replays it instead of re-resolving every page id.
-	// Kept in lockstep with pages — appended on flush, truncated on KV
-	// drop, reset on reuse.
+	// plan caches the resolved read path of pages: the per-step KV read
+	// replays it instead of re-resolving every page id. Kept in lockstep
+	// with pages — appended on flush, truncated on KV drop, reset on reuse.
 	plan     tier.ReadPlan
 	partial  int // tokens accumulated in the scratch partial page
 	firstTok time.Duration
@@ -418,11 +394,9 @@ type Sim struct {
 	eng      *llm.Engine
 	weights  tier.ObjectID
 	wTier    int
-	stepping bool // legacy tick-by-tick outer loop (Config.Stepping or package default)
 	idleTick bool
-	plans    bool // event engine: KV and weights reads go through ReadPlans
 	cal      eventq.Calendar
-	wPlan    tier.ReadPlan // resolved weights read (event engine); rebuilt on reseat
+	wPlan    tier.ReadPlan // resolved weights read; rebuilt on reseat
 
 	clock   time.Duration
 	pending []Request
@@ -489,14 +463,11 @@ func NewSim(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	nTiers := len(cfg.Memory.Tiers())
-	stepping := cfg.Stepping || defaultStepping
 	s := &Sim{
 		cfg:          cfg,
 		eng:          eng,
-		stepping:     stepping,
 		idleTick:     cfg.IdleTick,
 		onDone:       cfg.OnDone,
-		plans:        !stepping,
 		ttft:         metrics.NewHistogram(1e-6, 1.05),
 		tbt:          metrics.NewHistogram(1e-6, 1.05),
 		perTierReads: make([]units.Bytes, nTiers),
@@ -518,18 +489,16 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.plans {
-		// Nothing on the planned read path consumes Result.RawBER, so the
-		// worst-BER scan is wasted work; an armed ECC budget forces the scan
-		// regardless, keeping organic fault decisions identical.
-		for _, b := range cfg.Memory.Backends() {
-			if bt, ok := b.(tier.BERTunable); ok {
-				bt.SetBERTracking(false)
-			}
+	// Nothing on the planned read path consumes Result.RawBER, so the
+	// worst-BER scan is wasted work; an armed ECC budget forces the scan
+	// regardless, keeping organic fault decisions identical.
+	for _, b := range cfg.Memory.Backends() {
+		if bt, ok := b.(tier.BERTunable); ok {
+			bt.SetBERTracking(false)
 		}
-		if err := cfg.Memory.PlanAppend(&s.wPlan, id); err != nil {
-			return nil, err
-		}
+	}
+	if err := cfg.Memory.PlanAppend(&s.wPlan, id); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -620,9 +589,6 @@ func (s *Sim) RunSegment(ctx context.Context, reqs []Request, stopAt time.Durati
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if s.stepping {
-		return s.runStepping(ctx, stopAt)
-	}
 	return s.runEvents(ctx, stopAt)
 }
 
@@ -668,73 +634,14 @@ func admissionOrdered(reqs []Request) bool {
 	return true
 }
 
-// runStepping is the legacy engine: a tick-by-tick outer loop that re-derives
-// "what happens next" at the top of every iteration. Kept as the reference
-// implementation the event engine is equivalence-tested against.
-func (s *Sim) runStepping(ctx context.Context, stopAt time.Duration) error {
-	for len(s.pending) > 0 || len(s.batch) > 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("cluster: run canceled: %w", err)
-		}
-		if stopAt >= 0 && s.clock >= stopAt {
-			break
-		}
-		if err := s.admit(); err != nil {
-			return err
-		}
-		if s.feeding && len(s.pending) == 0 {
-			// Parked: the queue just drained mid-feed, and an unfed request
-			// may be admissible before the next decode step (a full queue
-			// admits it in this same admit pass, since prefill advances the
-			// clock). Stop before decoding; state is untouched, so admission
-			// resumes seamlessly — back-to-back admit calls across the feed
-			// boundary collapse into exactly one full-queue admit pass.
-			break
-		}
-		if len(s.batch) == 0 {
-			// Idle: jump to the next arrival (or the fail-stop, whichever
-			// comes first). Without IdleTick, admit has already consumed the
-			// idle window by jumping the clock (memory time intentionally
-			// does not advance — the goldens pin that); with it, the window
-			// is ticked through every housekeeping deadline inside it.
-			if len(s.pending) == 0 {
-				break
-			}
-			next := s.pending[0].Arrival
-			if stopAt >= 0 && next > stopAt {
-				next = stopAt
-			}
-			if next > s.clock {
-				if s.idleTick {
-					if err := s.tickThrough(next); err != nil {
-						return err
-					}
-				} else {
-					idle := next - s.clock
-					s.clock = next
-					if err := s.cfg.Memory.Tick(idle); err != nil {
-						return err
-					}
-				}
-			}
-			continue
-		}
-		if err := s.decodeStep(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runEvents is the discrete-event engine: each iteration builds the node's
 // tiny calendar — the next decode step, the next admissible arrival, and (in
 // IdleTick mode) the fail-stop and the next scrub/retention deadline — and
 // jumps the clock straight to the earliest event. Ties break deterministically
 // by (time, kind, push order); see eventq. Arrival and step events share one
-// handler that admits and then decodes, because that is exactly one iteration
-// of the stepping loop: splitting them would insert a fail-stop check between
-// admission and the decode it feeds, and the engines would diverge whenever a
-// monolithic prefill pushes the clock past stopAt.
+// handler that admits and then decodes: the fail-stop check runs only between
+// iterations, so a monolithic prefill that pushes the clock past stopAt still
+// runs the decode step it feeds (the experiment goldens pin that).
 func (s *Sim) runEvents(ctx context.Context, stopAt time.Duration) error {
 	for len(s.pending) > 0 || len(s.batch) > 0 {
 		if err := ctx.Err(); err != nil {
@@ -772,9 +679,8 @@ func (s *Sim) runEvents(ctx context.Context, stopAt time.Duration) error {
 		}
 		switch ev.Kind {
 		case eventq.KindFailStop:
-			// At stopAt == arrival the fail-stop wins the tie: the stepping
-			// engine clamps the idle jump to stopAt and halts before
-			// admitting, and so does this.
+			// At stopAt == arrival the fail-stop wins the tie: the idle
+			// window ends at stopAt and the node halts before admitting.
 			if err := s.tickThrough(ev.At); err != nil {
 				return err
 			}
@@ -792,7 +698,13 @@ func (s *Sim) runEvents(ctx context.Context, stopAt time.Duration) error {
 				return err
 			}
 			if s.feeding && len(s.pending) == 0 {
-				// Parked mid-feed before the decode; see runStepping.
+				// Parked: the queue just drained mid-feed, and an unfed
+				// request may be admissible before the next decode step (a
+				// full queue admits it in this same admit pass, since prefill
+				// advances the clock). Stop before decoding; state is
+				// untouched, so admission resumes seamlessly — back-to-back
+				// admit calls across the feed boundary collapse into exactly
+				// one full-queue admit pass.
 				return nil
 			}
 			if len(s.batch) > 0 {
@@ -826,14 +738,14 @@ func (s *Sim) tickThrough(target time.Duration) error {
 }
 
 // newRunning returns a request state struct, reusing one retired by finish
-// so the pages/pageTiers slices keep their grown capacity across requests.
+// so its pages slice and plan keep their grown capacity across requests.
 func (s *Sim) newRunning() *running {
 	if n := len(s.freeList); n > 0 {
 		r := s.freeList[n-1]
 		s.freeList = s.freeList[:n-1]
-		pages, tiers, plan := r.pages[:0], r.pageTiers[:0], r.plan
+		pages, plan := r.pages[:0], r.plan
 		plan.Reset()
-		*r = running{pages: pages, pageTiers: tiers, plan: plan}
+		*r = running{pages: pages, plan: plan}
 		return r
 	}
 	return &running{}
@@ -948,11 +860,8 @@ func (s *Sim) flushPages(r *running, n int) error {
 	done, err := s.cfg.Memory.PutBatch(metas, ids, lats, tiers)
 	for i := 0; i < done; i++ {
 		r.pages = append(r.pages, ids[i])
-		r.pageTiers = append(r.pageTiers, tiers[i])
-		if s.plans {
-			if perr := s.cfg.Memory.PlanAppend(&r.plan, ids[i]); perr != nil {
-				return perr
-			}
+		if perr := s.cfg.Memory.PlanAppend(&r.plan, ids[i]); perr != nil {
+			return perr
 		}
 	}
 	return err
@@ -1000,33 +909,22 @@ func (s *Sim) decodeStep() error {
 	kvPerTok := s.cfg.Model.KVBytesPerToken()
 	pageBytes := kvPerTok * units.Bytes(s.cfg.PageTokens)
 	for _, r := range decoding {
-		// One vectored read for the request's whole KV sequence: identical
-		// device reads and fault events to page-by-page Gets, one batched
-		// call instead of one per page. The event engine replays the
-		// request's resolved plan instead of re-resolving every page id.
-		var n int
-		var err error
-		if s.plans {
-			n, err = s.cfg.Memory.GetPlanned(&r.plan)
-			// Per-tier accounting over the plan's runs: O(runs) for the same
-			// sums the per-page loop below accumulates.
-			for ri := 0; ri < r.plan.Runs(); ri++ {
-				tierIdx, start, end := r.plan.Run(ri)
-				if end > n {
-					end = n
-				}
-				if end <= start {
-					break
-				}
-				perTier[tierIdx] += pageBytes * units.Bytes(end-start)
-				s.readTiers[tierIdx] = true
+		// One vectored read for the request's whole KV sequence, replaying
+		// its resolved plan: identical device reads and fault events to
+		// page-by-page Gets, one batched call per same-tier run instead of
+		// one per page.
+		n, err := s.cfg.Memory.GetPlanned(&r.plan)
+		// Per-tier accounting over the plan's runs: O(runs), not O(pages).
+		for ri := 0; ri < r.plan.Runs(); ri++ {
+			tierIdx, start, end := r.plan.Run(ri)
+			if end > n {
+				end = n
 			}
-		} else {
-			n, err = s.cfg.Memory.GetBatch(r.pages)
-			for i := 0; i < n; i++ {
-				perTier[r.pageTiers[i]] += pageBytes
-				s.readTiers[r.pageTiers[i]] = true
+			if end <= start {
+				break
 			}
+			perTier[tierIdx] += pageBytes * units.Bytes(end-start)
+			s.readTiers[tierIdx] = true
 		}
 		if err != nil {
 			// KV pages are soft state: an uncorrectable (or expired) page
@@ -1170,11 +1068,8 @@ func (s *Sim) flushOps(ops []stepOp, total int) error {
 			}
 			for j := 0; j < take; j++ {
 				op.r.pages = append(op.r.pages, ids[assigned+j])
-				op.r.pageTiers = append(op.r.pageTiers, tiers[assigned+j])
-				if s.plans {
-					if perr := s.cfg.Memory.PlanAppend(&op.r.plan, ids[assigned+j]); perr != nil {
-						return perr
-					}
+				if perr := s.cfg.Memory.PlanAppend(&op.r.plan, ids[assigned+j]); perr != nil {
+					return perr
 				}
 			}
 			op.pages -= take
@@ -1224,7 +1119,6 @@ func (s *Sim) dropKVFrom(r *running, i int) {
 	s.faults.KVTokensRecomputed += int64(lost)
 	s.faults.RecomputeFLOPs += float64(lost) * s.cfg.Model.FLOPsPerToken(intact+lost/2)
 	r.pages = r.pages[:i]
-	r.pageTiers = r.pageTiers[:i]
 	r.ctx = intact
 	r.partial = 0
 	r.prefillLeft += lost
@@ -1262,12 +1156,10 @@ func (s *Sim) readWeights() error {
 		if s.wTier, rerr = s.cfg.Memory.TierOf(s.weights); rerr != nil {
 			return rerr
 		}
-		if s.plans {
-			// The reseat re-placed the weights: rebuild the resolved plan.
-			s.wPlan.Reset()
-			if rerr = s.cfg.Memory.PlanAppend(&s.wPlan, s.weights); rerr != nil {
-				return rerr
-			}
+		// The reseat re-placed the weights: rebuild the resolved plan.
+		s.wPlan.Reset()
+		if rerr = s.cfg.Memory.PlanAppend(&s.wPlan, s.weights); rerr != nil {
+			return rerr
 		}
 		if err = s.getWeights(); err == nil {
 			return nil
@@ -1276,14 +1168,9 @@ func (s *Sim) readWeights() error {
 	return fmt.Errorf("cluster: weights unreadable after %d reseats: %w", attempts, err)
 }
 
-// getWeights performs one weights read: the resolved plan under the event
-// engine, the by-id lookup under stepping — device-identical either way.
+// getWeights performs one weights read through the resolved plan.
 func (s *Sim) getWeights() error {
-	if s.plans {
-		_, err := s.cfg.Memory.GetPlanned(&s.wPlan)
-		return err
-	}
-	_, _, err := s.cfg.Memory.Get(s.weights)
+	_, err := s.cfg.Memory.GetPlanned(&s.wPlan)
 	return err
 }
 

@@ -154,125 +154,24 @@ func arrivalOrdered(reqs []Request) bool {
 	return true
 }
 
-// Run partitions the stream (token-balanced, arrival order preserved per
-// node) and runs every node to completion — or, for nodes with a scheduled
-// failure, until their fail-stop time. Failing nodes run first (one sweep
-// barrier), their unfinished requests are requeued deterministically onto
-// survivors, then survivors run. Nodes simulate concurrently on the sweep
-// pool; every phase reduces in node order, so the outcome is bit-identical
-// to running the nodes one after another at any worker count.
-//
-// Run materializes every shard for the whole run; RunStream is the
-// stream-native twin that replays the same placement and execution with
-// windowed peak memory, bit-identical on arrival-sorted input.
+// Run places a materialized request slice on the fleet and runs it: a
+// stable sort by arrival (on a copy, when the input is not already in
+// arrival order), then RunStream over the sorted slice. The caller's slice
+// is never mutated.
 func (f *Fleet) Run(reqs []Request) (FleetResult, error) {
-	shards := make([][]Request, len(f.nodes))
-	load := make([]int64, len(f.nodes))
 	ordered := reqs
 	if !arrivalOrdered(reqs) {
 		ordered = make([]Request, len(reqs))
 		copy(ordered, reqs)
 		sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Arrival < ordered[j].Arrival })
 	}
-	for _, r := range ordered {
-		// Least-loaded placement by assigned token volume. The linear scan is
-		// kept as the reference the RunStream placement heap is pinned
-		// against (lowest index wins load ties).
-		best := 0
-		for i := 1; i < len(load); i++ {
-			if load[i] < load[best] {
-				best = i
-			}
-		}
-		shards[best] = append(shards[best], r)
-		load[best] += int64(r.PromptTokens + r.OutputTokens)
-	}
-	failAt, failing, surviving, err := f.failurePlan()
-	if err != nil {
-		return FleetResult{}, err
-	}
-	// One persistent pool for every sweep in this run: the failing and
-	// surviving phases reuse the same workers instead of rebuilding them.
-	pool := sweep.NewPool(f.Workers)
-	defer pool.Close()
-	perNode := make([]Result, len(f.nodes))
-	out := FleetResult{PerNode: perNode, FailedNodes: len(failing)}
-	if len(failing) > 0 {
-		type partial struct {
-			res  Result
-			left []Request
-		}
-		parts, err := sweep.MapOn(pool, 0, failing,
-			func(_ context.Context, _ sweep.Cell, node int) (partial, error) {
-				res, left, err := f.nodes[node].RunUntil(shards[node], failAt[node])
-				if err != nil {
-					return partial{}, fmt.Errorf("cluster: node %d: %w", node, err)
-				}
-				return partial{res: res, left: left}, nil
-			})
-		if err != nil {
-			return FleetResult{}, err
-		}
-		// Requeue through a cross-node event merge: an orphan re-arrives no
-		// earlier than its node's fail-stop (detection), fresh (its KV died).
-		// Each failing node pushes its orphans in node order onto one
-		// calendar, and popping yields them in (re-arrival time, push order) —
-		// the same order a stable sort by arrival produces, with the tie-break
-		// explicit in the event queue rather than implicit in sort stability.
-		var orphans []Request
-		var merge eventq.Calendar
-		for k, node := range failing {
-			perNode[node] = parts[k].res
-			for _, req := range parts[k].left {
-				if req.Arrival < failAt[node] {
-					req.Arrival = failAt[node]
-				}
-				merge.Push(req.Arrival, eventq.KindArrival, uint64(len(orphans)))
-				orphans = append(orphans, req)
-			}
-		}
-		if len(surviving) == 0 {
-			out.Unserved = len(orphans)
-		} else {
-			out.Requeued = len(orphans)
-			for merge.Len() > 0 {
-				ev, _ := merge.Pop()
-				req := orphans[ev.Data]
-				best := surviving[0]
-				for _, i := range surviving[1:] {
-					if load[i] < load[best] {
-						best = i
-					}
-				}
-				shards[best] = append(shards[best], req)
-				load[best] += int64(req.PromptTokens + req.OutputTokens)
-			}
-		}
-	}
-	if len(surviving) > 0 {
-		res, err := sweep.MapOn(pool, 0, surviving,
-			func(_ context.Context, _ sweep.Cell, node int) (Result, error) {
-				r, err := f.nodes[node].Run(shards[node])
-				if err != nil {
-					return Result{}, fmt.Errorf("cluster: node %d: %w", node, err)
-				}
-				return r, nil
-			})
-		if err != nil {
-			return FleetResult{}, err
-		}
-		for k, node := range surviving {
-			perNode[node] = res[k]
-		}
-	}
-	f.reduce(&out)
-	return out, nil
+	return f.RunStream(&SliceSource{Reqs: ordered})
 }
 
 // reduce folds the per-node results already stored in out.PerNode into the
 // fleet aggregates. It runs serially in node order after the sweep barriers,
 // so sums and histogram merges come out independent of which worker finished
-// first — Run and RunStream share it, which is half of their equivalence.
+// first.
 func (f *Fleet) reduce(out *FleetResult) {
 	ttft := metrics.NewHistogram(1e-6, 1.05)
 	tbt := metrics.NewHistogram(1e-6, 1.05)
@@ -323,9 +222,8 @@ type RequestSource interface {
 	Reset()
 }
 
-// SliceSource adapts an arrival-sorted request slice to RequestSource — the
-// bridge the twin-equivalence suite uses to run the same requests through
-// Run and RunStream.
+// SliceSource adapts an arrival-sorted request slice to RequestSource (what
+// Run feeds RunStream).
 type SliceSource struct {
 	Reqs []Request
 	next int
@@ -346,12 +244,11 @@ func (s *SliceSource) Reset() { s.next = 0 }
 
 // loadHeap is a deterministic min-heap of node indices keyed by (assigned
 // load, node index): the least-loaded node is always at the root, and load
-// ties break to the lowest node index — pinned byte-for-byte to the linear
-// least-loaded scan it replaces (which also yields the lowest index among
-// minima) by the placement-equivalence test. The key is a total order (node
-// indices are unique), so the root is unique no matter how the heap's
-// interior is arranged, and assignment is O(log n) per request instead of
-// O(n).
+// ties break to the lowest node index — the choice a linear least-loaded
+// scan makes, which the placement test keeps as the heap's oracle. The key
+// is a total order (node indices are unique), so the root is unique no
+// matter how the heap's interior is arranged, and assignment is O(log n)
+// per request instead of O(n).
 type loadHeap struct {
 	heap []int   // node indices in heap order
 	load []int64 // indexed by node; shared with (and mutated for) the caller
@@ -400,15 +297,19 @@ func (h *loadHeap) siftDown(i int) {
 	}
 }
 
-// RunStream is Run's stream-native twin: it replays an arrival-ordered
-// request source through the fleet with peak memory O(nodes × window)
-// instead of O(requests), bit-identical to Run on the same sequence.
+// RunStream places an arrival-ordered request source on the fleet and runs
+// every node to completion — or, for nodes with a scheduled failure, until
+// their fail-stop time — with peak memory O(nodes × window) instead of
+// O(requests). Each request goes to the node with the least assigned token
+// volume (lowest index on ties), and each node runs its shard exactly as one
+// RunUntil over the whole shard would. Nodes simulate concurrently on the
+// sweep pool; every phase reduces in node order, so the outcome is
+// bit-identical at any worker count and any Window.
 //
 // Three things make that possible. Placement is a pure function of the
 // arrival-ordered stream — a deterministic min-heap keyed (load, node index)
-// assigns each request in O(log nodes), reproducing the linear least-loaded
-// scan's lowest-index-wins tie-break — so it can be replayed exactly rather
-// than stored. Each node consumes its shard strictly in admission order
+// assigns each request in O(log nodes) — so it can be replayed exactly
+// rather than stored. Each node consumes its shard strictly in admission order
 // (class priority, then arrival; see RunSegment), so the source is replayed
 // once per SLA class and each node is fed its class-c requests in arrival
 // order, never holding more than a window of them. And execution is
@@ -416,18 +317,20 @@ func (h *loadHeap) siftDown(i int) {
 // Window requests, buffers recycle across rounds, and nodes park exactly
 // when their next decision would depend on a request not yet fed.
 //
-// Fail-stops follow Run's phases: failing nodes stream first (halting at
-// their fail-stop), their orphans merge through the requeue calendar onto
-// survivors — heap-placed against the canonical full-stream loads — and the
-// survivors then stream with orphan segments merged into admission order.
+// Fail-stops run in two phases: failing nodes stream first (halting at
+// their fail-stop, one sweep barrier), their unfinished requests are
+// requeued — fresh, through the requeue calendar, heap-placed on survivors
+// against the canonical full-stream loads — and the survivors then stream
+// with orphan segments merged into admission order.
 //
 // The replay is pipelined (see DESIGN.md §14): one persistent sweep pool
 // serves the whole call; execution of window w runs asynchronously on that
 // pool while the placement loop fills window w+1 (double-buffered); request
 // synthesis for a BlockSource is sharded across the same pool and harvested
 // in order; and the first placement pass records a manifest that lets every
-// later pass skip the heap. None of it changes a single emitted byte — the
-// twin suite holds the pipelined path to Run's output exactly.
+// later pass skip the heap. None of it changes a single emitted byte: the
+// recorded fleet outcomes in testdata/fleet pin the pipelined path at every
+// worker count and window size.
 func (f *Fleet) RunStream(src RequestSource) (FleetResult, error) {
 	failAt, failing, surviving, err := f.failurePlan()
 	if err != nil {
@@ -459,8 +362,12 @@ func (f *Fleet) RunStream(src RequestSource) (FleetResult, error) {
 		if err != nil {
 			return FleetResult{}, err
 		}
-		// The requeue merge is Run's, verbatim: orphans re-arrive no earlier
-		// than their node's fail-stop, in (re-arrival, push order).
+		// Requeue through a cross-node event merge: an orphan re-arrives no
+		// earlier than its node's fail-stop (detection), fresh (its KV died).
+		// Each failing node pushes its orphans in node order onto one
+		// calendar, and popping yields them in (re-arrival time, push order)
+		// — the order a stable sort by arrival produces, with the tie-break
+		// explicit in the event queue rather than implicit in sort stability.
 		var orphans []Request
 		var merge eventq.Calendar
 		for k, node := range failing {
@@ -479,9 +386,9 @@ func (f *Fleet) RunStream(src RequestSource) (FleetResult, error) {
 			return out, nil
 		}
 		out.Requeued = len(orphans)
-		// Heap-placed requeue against a copy of the canonical loads: same
-		// survivors, same (load, lowest-index) choice the linear scan makes —
-		// and the originals stay pristine for phase 2's replay check.
+		// Heap-placed requeue against a copy of the canonical loads: the
+		// (load, lowest-index) choice among survivors — and the originals
+		// stay pristine for phase 2's replay check.
 		requeueLoad := append([]int64(nil), sr.load...)
 		h := newLoadHeap(surviving, requeueLoad)
 		orphansFor := make([][]Request, len(f.nodes))
@@ -492,8 +399,8 @@ func (f *Fleet) RunStream(src RequestSource) (FleetResult, error) {
 			orphansFor[node] = append(orphansFor[node], req)
 		}
 		// Each node feeds its orphans in admission order; the stable sort
-		// keeps calendar pop order among equal (class, arrival) keys, exactly
-		// as Run's per-node stable sort keeps shard-append order.
+		// keeps calendar pop order among equal (class, arrival) keys, as the
+		// node's own admission sort would keep shard-append order.
 		for _, node := range surviving {
 			o := orphansFor[node]
 			sort.SliceStable(o, func(i, j int) bool {
@@ -546,7 +453,8 @@ type streamRun struct {
 // phase feeds the target nodes their shards in admission order: one
 // placement replay of the source per SLA class, so each node receives its
 // class-c requests in arrival order, all of class c before any of class c+1
-// — exactly the (class, arrival) stable order Run's per-node sort produces.
+// — exactly the (class, arrival) stable order a node's admission sort gives
+// its whole shard.
 // Every pass replays placement over the whole stream (assignments depend on
 // the loads every earlier request accumulated, whatever its class); the
 // first pass runs the heap and records the manifest, later passes replay
@@ -554,7 +462,8 @@ type streamRun struct {
 // Requests owned by non-target nodes are placed but not buffered. Orphan
 // lists (requeued work for surviving nodes, already in admission order)
 // merge into the feed: stream requests first on equal (class, arrival)
-// keys, matching Run's shard-append-then-stable-sort order.
+// keys, matching the shard-append-then-stable-sort order (orphans are
+// appended to a shard after its stream requests).
 //
 // Execution is double-buffered: every `window` buffered requests, the
 // filled buffer set is dispatched asynchronously onto the pool and the loop
@@ -704,8 +613,8 @@ func (r *streamRun) phase(src RequestSource, target []int, stopAt []time.Duratio
 					continue
 				}
 				// Orphans sorting strictly before this stream request go
-				// first; equal keys emit the stream request first (Run's
-				// stable order).
+				// first; equal keys emit the stream request first (the
+				// shard's stable order).
 				if orphans != nil {
 					for o := orphans[node]; orphanNext[node] < len(o); orphanNext[node]++ {
 						or := o[orphanNext[node]]

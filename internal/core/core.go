@@ -232,12 +232,12 @@ type MRM struct {
 	energy    EnergyAccount
 	stats     Stats
 
-	// Scratch buffers for Get/GetBatch, reused across calls so the read hot
+	// Scratch buffers for Get/GetRefs, reused across calls so the read hot
 	// path allocates nothing in steady state.
 	reqBuf  []controller.ReadReq
 	resBuf  []memdev.Result
-	objEnd  []int         // per-object end index into reqBuf (GetBatch)
-	sizeBuf []units.Bytes // per-object sizes (GetBatch stats)
+	objEnd  []int         // per-object end index into reqBuf (GetRefs)
+	sizeBuf []units.Bytes // per-object sizes (GetRefs stats)
 
 	// Scratch buffers for PutBatch, reused across calls so the write hot
 	// path allocates only per-object state that outlives the call.
@@ -710,37 +710,6 @@ func (m *MRM) Get(id ObjectID) (time.Duration, error) {
 	return total, nil
 }
 
-// GetBatch reads the listed objects exactly as if Get were called once per id
-// in order — same validation order, same device read sequence and fault
-// events, same per-object energy and stats — but coalesces every extent of
-// every object into a single vectored device call. It returns the number of
-// objects read in full and, when that is < len(ids), the error the
-// first-failing Get would have returned.
-func (m *MRM) GetBatch(ids []ObjectID) (int, error) {
-	m.reqBuf = m.reqBuf[:0]
-	m.objEnd = m.objEnd[:0]
-	m.sizeBuf = m.sizeBuf[:0]
-	for idx, id := range ids {
-		obj, verr := m.liveObject(id)
-		if verr != nil {
-			// A sequential caller issues the reads of the earlier, valid
-			// objects before looking this one up — and a device failure among
-			// those takes precedence over the lookup error.
-			done, err := m.flushReads(idx)
-			if err != nil {
-				return done, err
-			}
-			return idx, verr
-		}
-		for _, ext := range obj.extents {
-			m.reqBuf = append(m.reqBuf, controller.ReadReq{Zone: ext.zone, Off: ext.off, Size: ext.size})
-		}
-		m.objEnd = append(m.objEnd, len(m.reqBuf))
-		m.sizeBuf = append(m.sizeBuf, obj.size)
-	}
-	return m.flushReads(len(ids))
-}
-
 // liveObject resolves id to a readable object, with Get's error contract.
 func (m *MRM) liveObject(id ObjectID) (*object, error) {
 	obj, ok := m.objects[id]
@@ -782,12 +751,15 @@ func (m *MRM) ResolveRef(id ObjectID) (ObjRef, error) {
 	return ObjRef(obj), nil
 }
 
-// GetRefs reads the referenced objects exactly as GetBatch reads their ids —
-// same validation order and errors, same device read sequence and fault
-// events, same per-object energy and stats — minus the id lookups, which the
-// refs carry pre-resolved. Extents are walked live, so a refresh that moved
-// an object between calls is observed, not a stale snapshot. It returns the
-// number of objects read in full and the first-failing Get's error.
+// GetRefs reads the referenced objects exactly as if Get were called once per
+// object in order, stopping at the first error — same validation order and
+// errors, same device read sequence and fault events, same per-object energy
+// and stats — but coalesces every extent of every object into a single
+// vectored device call, and skips the id lookups, which the refs carry
+// pre-resolved. Extents are walked live, so a refresh that moved an object
+// between calls is observed, not a stale snapshot. It returns the number of
+// objects read in full and, when that is < len(refs), the error the
+// first-failing Get would have returned.
 func (m *MRM) GetRefs(refs []ObjRef) (int, error) {
 	m.reqBuf = m.reqBuf[:0]
 	m.objEnd = m.objEnd[:0]
@@ -795,8 +767,9 @@ func (m *MRM) GetRefs(refs []ObjRef) (int, error) {
 	for idx, ref := range refs {
 		obj := (*object)(ref)
 		if verr := obj.liveErr(); verr != nil {
-			// Same precedence as GetBatch: earlier objects' device reads are
-			// issued first, and a device failure among those wins.
+			// A sequential caller issues the reads of the earlier, valid
+			// objects before checking this one — and a device failure among
+			// those takes precedence over the validation error.
 			done, err := m.flushReads(idx)
 			if err != nil {
 				return done, err

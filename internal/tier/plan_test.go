@@ -22,32 +22,13 @@ func planOf(t *testing.T, m *Manager, ids []ObjectID) *ReadPlan {
 	return &p
 }
 
-// checkTwins compares the two managers' per-tier read accounting and backend
-// traffic, the state GetPlanned must keep bit-identical to GetBatch.
-func checkTwins(t *testing.T, label string, seq, pln *Manager) {
-	t.Helper()
-	for tier := range seq.tiers {
-		if sr, pr := seq.perTierReads[tier], pln.perTierReads[tier]; sr != pr {
-			t.Fatalf("%s tier %d: perTierReads %v != %v", label, tier, sr, pr)
-		}
-		sr, sw := seq.tiers[tier].Traffic()
-		pr, pw := pln.tiers[tier].Traffic()
-		if sr != pr || sw != pw {
-			t.Fatalf("%s tier %d: traffic (%v,%v) != (%v,%v)", label, tier, sr, sw, pr, pw)
-		}
-		if se, pe := seq.tiers[tier].Energy(), pln.tiers[tier].Energy(); se != pe {
-			t.Fatalf("%s tier %d: energy %v != %v", label, tier, se, pe)
-		}
-	}
-}
-
-// TestGetPlannedMatchesGetBatch drives one twin with GetBatch by id and the
+// TestGetPlannedMatchesGets drives one twin with a Get loop by id and the
 // other with a pre-resolved ReadPlan over the same id sequences — singleton
 // runs (alternating tiers), multi-object runs, repeated execution of one plan
 // — and requires identical done counts, errors, per-tier accounting, and
-// backend traffic. GetPlanned is the per-step read path under the serving
-// simulator's event engine and must not change any number.
-func TestGetPlannedMatchesGetBatch(t *testing.T) {
+// backend traffic. GetPlanned is the serving simulator's per-step read path
+// and must not change any number.
+func TestGetPlannedMatchesGets(t *testing.T) {
 	seq, pln, ids := twinManagers(t)
 	sequences := [][]ObjectID{
 		ids,                                      // alternating tiers: every run is a singleton
@@ -62,7 +43,7 @@ func TestGetPlannedMatchesGetBatch(t *testing.T) {
 		// Execute the same plan several times: planned reads are resolved once
 		// and replayed every decode step.
 		for rep := 0; rep < 3; rep++ {
-			seqDone, seqErr := seq.GetBatch(seqIDs)
+			seqDone, seqErr := getLoop(seq, seqIDs)
 			plnDone, plnErr := pln.GetPlanned(p)
 			if plnDone != seqDone {
 				t.Fatalf("seq %d rep %d: done %d != by-id %d", si, rep, plnDone, seqDone)
@@ -93,7 +74,7 @@ func TestGetPlannedObservesExpiry(t *testing.T) {
 	if err := pln.Tick(2 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	seqDone, seqErr := seq.GetBatch(seqIDs)
+	seqDone, seqErr := getLoop(seq, seqIDs)
 	plnDone, plnErr := pln.GetPlanned(p)
 	if seqErr == nil || !errors.Is(seqErr, core.ErrExpired) {
 		t.Fatalf("setup: by-id read of expired page returned %v, want ErrExpired", seqErr)
@@ -120,7 +101,7 @@ func TestPlanTruncateReset(t *testing.T) {
 		if p.Len() != cut {
 			t.Fatalf("Truncate(%d): len %d", cut, p.Len())
 		}
-		seqDone, seqErr := seq.GetBatch(seqIDs[:cut])
+		seqDone, seqErr := getLoop(seq, seqIDs[:cut])
 		plnDone, plnErr := pln.GetPlanned(p)
 		if plnDone != seqDone || (plnErr == nil) != (seqErr == nil) {
 			t.Fatalf("Truncate(%d): (%d, %v) != by-id (%d, %v)", cut, plnDone, plnErr, seqDone, seqErr)

@@ -101,7 +101,7 @@ type SpanGetter interface {
 // RefGetter is implemented by backends whose objects live behind a control
 // plane that relocates extents (MRMTier): the resolved reference is stable
 // across refresh-driven moves, and reads through it observe expiry exactly
-// like reads by handle. GetRefs carries GetBatch's strict sequential
+// like reads by handle. GetRefs carries BatchGetter's strict sequential
 // equivalence, minus the id lookups.
 type RefGetter interface {
 	ResolveRef(handle uint64) (core.ObjRef, error)
@@ -378,8 +378,9 @@ func (d *DeviceTier) Traffic() (units.Bytes, units.Bytes) {
 type MRMTier struct {
 	name    string
 	mrm     *core.MRM
-	idBuf   []core.ObjectID // scratch for GetBatch/PutBatch, reused across calls
+	idBuf   []core.ObjectID // scratch for PutBatch, reused across calls
 	sizeBuf []units.Bytes   // scratch for PutBatch, reused across calls
+	refBuf  []core.ObjRef   // scratch for GetBatch, reused across calls
 }
 
 // NewMRMTier wraps an MRM.
@@ -464,13 +465,26 @@ func (t *MRMTier) Get(handle uint64) (time.Duration, error) {
 }
 
 // GetBatch reads the listed objects as one vectored device access with
-// sequential-Get equivalence (see BatchGetter).
+// sequential-Get equivalence (see BatchGetter): it resolves handles up to the
+// first lookup failure and reads that prefix through GetRefs. A sequential
+// caller reads the prefix before failing the lookup, so a device error there
+// takes precedence over the lookup error.
 func (t *MRMTier) GetBatch(handles []uint64) (int, error) {
-	t.idBuf = t.idBuf[:0]
+	t.refBuf = t.refBuf[:0]
+	var lookupErr error
 	for _, h := range handles {
-		t.idBuf = append(t.idBuf, core.ObjectID(h))
+		ref, err := t.mrm.ResolveRef(core.ObjectID(h))
+		if err != nil {
+			lookupErr = err
+			break
+		}
+		t.refBuf = append(t.refBuf, ref)
 	}
-	return t.mrm.GetBatch(t.idBuf)
+	n, err := t.mrm.GetRefs(t.refBuf)
+	if err != nil {
+		return n, err
+	}
+	return n, lookupErr
 }
 
 // ResolveRef resolves a handle for planned reads (see RefGetter).
@@ -478,8 +492,8 @@ func (t *MRMTier) ResolveRef(handle uint64) (core.ObjRef, error) {
 	return t.mrm.ResolveRef(core.ObjectID(handle))
 }
 
-// GetRefs reads the referenced objects with GetBatch's sequential-Get
-// equivalence, minus the id lookups.
+// GetRefs reads the referenced objects with sequential-Get equivalence (see
+// RefGetter), minus the id lookups.
 func (t *MRMTier) GetRefs(refs []core.ObjRef) (int, error) {
 	return t.mrm.GetRefs(refs)
 }
@@ -645,8 +659,7 @@ type Manager struct {
 
 	perTierReads []units.Bytes // bytes read via Get, indexed by tier
 	reseats      int64
-	handleBuf    []uint64 // scratch for GetBatch/PutBatch, reused across calls
-	runBuf       []placed // scratch for GetBatch run grouping, reused across calls
+	handleBuf    []uint64 // scratch for PutBatch, reused across calls
 	infoBuf      []Info   // scratch for Put/PutBatch placement, reused across calls
 	// readBW caches each backend's read bandwidth, which is fixed at device
 	// construction; ReadTime runs per decode step and must not pay Info()
@@ -849,57 +862,6 @@ func (m *Manager) Get(id ObjectID) (time.Duration, int, error) {
 	return lat, p.tier, nil
 }
 
-// GetBatch reads the listed objects exactly as if Get were called once per
-// id in order, stopping at the first error — same device read sequence,
-// fault events, and per-tier accounting — but coalesces consecutive runs of
-// objects living on the same tier into one vectored backend call when the
-// backend supports it (BatchGetter). It returns the number of objects read
-// in full and, when that is < len(ids), the first-failing Get's error.
-func (m *Manager) GetBatch(ids []ObjectID) (int, error) {
-	done := 0
-	for done < len(ids) {
-		p, ok := m.objects[ids[done]]
-		if !ok {
-			return done, fmt.Errorf("tier: no object %d", ids[done])
-		}
-		// Extend the run of consecutive objects on the same tier, keeping each
-		// placement so the flush below never re-resolves an id. Peeking at a
-		// later object's placement is safe: reads never change placement, so
-		// the lookup answers exactly what a sequential caller would see.
-		m.runBuf = append(m.runBuf[:0], p)
-		for done+len(m.runBuf) < len(ids) {
-			q, ok := m.objects[ids[done+len(m.runBuf)]]
-			if !ok || q.tier != p.tier {
-				break
-			}
-			m.runBuf = append(m.runBuf, q)
-		}
-		if bg, isBatch := m.tiers[p.tier].(BatchGetter); isBatch && len(m.runBuf) > 1 {
-			m.handleBuf = m.handleBuf[:0]
-			for i := range m.runBuf {
-				m.handleBuf = append(m.handleBuf, m.runBuf[i].handle)
-			}
-			n, err := bg.GetBatch(m.handleBuf)
-			for i := 0; i < n; i++ {
-				m.perTierReads[p.tier] += m.runBuf[i].meta.Size
-			}
-			done += n
-			if err != nil {
-				return done, err
-			}
-		} else {
-			for i := range m.runBuf {
-				if _, err := m.tiers[p.tier].Get(m.runBuf[i].handle); err != nil {
-					return done, err
-				}
-				m.perTierReads[p.tier] += m.runBuf[i].meta.Size
-				done++
-			}
-		}
-	}
-	return done, nil
-}
-
 // planRun is one run of consecutive same-tier objects within a ReadPlan.
 type planRun struct {
 	tier int
@@ -910,7 +872,7 @@ type planRun struct {
 // caller that reads the same objects every step (the serving simulator's KV
 // pages) pays the id lookup and run grouping once, at append time, instead of
 // once per read. GetPlanned(p) performs exactly the device reads, fault
-// events, and per-tier accounting of GetBatch over the same ids.
+// events, and per-tier accounting of a Get loop over the same ids.
 //
 // Validity contract: a plan may only be executed while every member object is
 // still placed where it was appended. Deleting, forgetting, migrating, or
@@ -919,10 +881,7 @@ type planRun struct {
 // MRM-backed member does NOT invalidate the plan: refs observe expiry exactly
 // like reads by id.
 type ReadPlan struct {
-	ids     []ObjectID
 	handles []uint64
-	tiers   []int
-	sizes   []units.Bytes
 	sums    []units.Bytes // prefix sums: sums[i] = total size of objects [0, i)
 	spans   []memdev.Span // valid where the tier is a SpanGetter
 	refs    []core.ObjRef // valid where the tier is a RefGetter
@@ -930,14 +889,7 @@ type ReadPlan struct {
 }
 
 // Len returns the number of planned objects.
-func (p *ReadPlan) Len() int { return len(p.ids) }
-
-// IDs returns the planned object ids in read order (shared storage; callers
-// must not mutate).
-func (p *ReadPlan) IDs() []ObjectID { return p.ids }
-
-// Tier returns the tier index object i was resolved on.
-func (p *ReadPlan) Tier(i int) int { return p.tiers[i] }
+func (p *ReadPlan) Len() int { return len(p.handles) }
 
 // Runs returns the number of consecutive same-tier runs in the plan, letting
 // callers account per-tier totals in O(runs) instead of O(objects).
@@ -953,10 +905,7 @@ func (p *ReadPlan) Run(i int) (tier, start, end int) {
 
 // Reset empties the plan, keeping capacity.
 func (p *ReadPlan) Reset() {
-	p.ids = p.ids[:0]
 	p.handles = p.handles[:0]
-	p.tiers = p.tiers[:0]
-	p.sizes = p.sizes[:0]
 	if len(p.sums) > 0 {
 		p.sums = p.sums[:1]
 	}
@@ -967,13 +916,10 @@ func (p *ReadPlan) Reset() {
 
 // Truncate drops all planned objects at index n and beyond, keeping capacity.
 func (p *ReadPlan) Truncate(n int) {
-	if n < 0 || n >= len(p.ids) {
+	if n < 0 || n >= len(p.handles) {
 		return
 	}
-	p.ids = p.ids[:n]
 	p.handles = p.handles[:n]
-	p.tiers = p.tiers[:n]
-	p.sizes = p.sizes[:n]
 	p.sums = p.sums[:n+1]
 	p.spans = p.spans[:n]
 	p.refs = p.refs[:n]
@@ -1017,10 +963,7 @@ func (m *Manager) PlanAppend(p *ReadPlan, id ObjectID) error {
 	if err != nil {
 		return err
 	}
-	p.ids = append(p.ids, id)
 	p.handles = append(p.handles, pl.handle)
-	p.tiers = append(p.tiers, pl.tier)
-	p.sizes = append(p.sizes, pl.meta.Size)
 	if len(p.sums) == 0 {
 		p.sums = append(p.sums, 0)
 	}
@@ -1028,20 +971,20 @@ func (m *Manager) PlanAppend(p *ReadPlan, id ObjectID) error {
 	p.spans = append(p.spans, span)
 	p.refs = append(p.refs, ref)
 	if n := len(p.runs); n > 0 && p.runs[n-1].tier == pl.tier {
-		p.runs[n-1].end = len(p.ids)
+		p.runs[n-1].end = len(p.handles)
 	} else {
-		p.runs = append(p.runs, planRun{tier: pl.tier, end: len(p.ids)})
+		p.runs = append(p.runs, planRun{tier: pl.tier, end: len(p.handles)})
 	}
 	return nil
 }
 
 // GetPlanned executes the plan: the same device read sequence, fault events,
-// per-tier accounting, and error contract as GetBatch(p.IDs()), with the id
-// lookups and run grouping already paid at append time. Each run issues
-// through the backend's resolved vectored path; the single-span (single-ref)
-// case is device-identical to the serial Get that GetBatch would use for a
-// length-1 run. Returns the number of objects read in full and the
-// first-failing Get's error.
+// per-tier accounting, and error contract as calling Get once per planned id
+// in order and stopping at the first error, with the id lookups and run
+// grouping already paid at append time. Each run issues through the
+// backend's resolved vectored path; a single-span (single-ref) run is
+// device-identical to a serial Get. Returns the number of objects read in
+// full and the first-failing Get's error.
 func (m *Manager) GetPlanned(p *ReadPlan) (int, error) {
 	done := 0
 	for _, run := range p.runs {
@@ -1063,12 +1006,12 @@ func (m *Manager) GetPlanned(p *ReadPlan) (int, error) {
 				return done, err
 			}
 		default:
-			// No resolved fast path: serial Gets, exactly GetBatch's fallback.
+			// No resolved fast path: serial Gets.
 			for i := done; i < run.end; i++ {
 				if _, err := m.tiers[run.tier].Get(p.handles[i]); err != nil {
 					return done, err
 				}
-				m.perTierReads[run.tier] += p.sizes[i]
+				m.perTierReads[run.tier] += p.sums[i+1] - p.sums[i]
 				done++
 			}
 		}
