@@ -4,7 +4,7 @@ package mrm
 // worker-pool sizes 1 (the serial reference) and NumCPU. The interesting
 // number is the ns/op ratio between the workers-1 and workers-N variants of
 // the same benchmark — the results themselves are identical by construction
-// (see parallel_test.go). `make bench-json` captures these in BENCH_sweep.json.
+// (see parallel_test.go). `make bench-json` captures these in BENCH_all.json.
 
 import (
 	"fmt"

@@ -60,7 +60,7 @@ type FleetDayResult struct {
 // RunFleetDay replays the configured day through the stream-native fleet
 // path and reports the outcome. Output is deterministic in (Params); the
 // request stream is identical to Generator.Generate with the same seed, and
-// execution is bit-identical to the batch Fleet.Run twin.
+// execution is bit-identical to Fleet.Run over that materialized stream.
 func RunFleetDay(p FleetDayParams) (FleetDayResult, *report.Table, error) {
 	if p.Nodes <= 0 || p.Rate <= 0 || p.Duration <= 0 {
 		return FleetDayResult{}, nil, fmt.Errorf("mrm: fleetday needs positive nodes, rate, duration")

@@ -5,8 +5,8 @@
 // batch step), then insertion order. The third key makes every tie
 // deterministic — two events pushed at the same instant with the same kind
 // pop in push order, no map iteration, no pointer comparison, nothing the
-// scheduler or allocator can perturb — which is what lets the event engine
-// reproduce the stepping engine bit for bit.
+// scheduler or allocator can perturb — which is what makes the event engine's
+// runs bit-reproducible.
 package eventq
 
 import "time"
@@ -15,8 +15,8 @@ import "time"
 // at equal times: a node's fail-stop preempts everything else scheduled at
 // that instant, housekeeping deadlines fire before the arrival that would
 // observe their effects, and arrivals enter the batch before the step that
-// would run at the same boundary (matching the stepping engine, which calls
-// admit() ahead of every decode step).
+// would run at the same boundary (the engine calls admit() ahead of every
+// decode step).
 type Kind uint8
 
 // Event kinds in tie-break order.

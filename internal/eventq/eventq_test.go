@@ -22,9 +22,9 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestKindPriority pins the tie-break order the event engine's equivalence
-// with the stepping engine depends on: at one instant, fail-stop beats
-// deadline beats arrival beats step.
+// TestKindPriority pins the tie-break order the event engine's recorded
+// outputs depend on: at one instant, fail-stop beats deadline beats arrival
+// beats step.
 func TestKindPriority(t *testing.T) {
 	var c Calendar
 	at := 5 * time.Millisecond
