@@ -52,12 +52,16 @@ golden-smoke:
 golden:
 	go test -count=1 -run '^TestGolden$$' ./cmd/mrmsim -update
 
-# fuzz runs the zoned-controller differential fuzzer for 30 s: random op
-# sequences (with device write faults armed) must keep the controller's
+# fuzz runs each differential fuzzer for 30 s. FuzzZoned: random op
+# sequences (with device write faults armed) must keep the zoned controller's
 # free-byte counter, deadline index and least-worn index equal to full
-# scans. The checked-in seed corpus also runs as part of `go test`.
+# scans. FuzzMRMReads: puts, deletes, Ticks, compactions and fault arming on
+# twin MRMs, whose Get/GetRefs reads through the span cache must match an
+# extent-by-extent zone Read loop in results, stats, energy and device
+# counters. The checked-in seed corpora also run as part of `go test`.
 fuzz:
 	go test -run '^$$' -fuzz FuzzZoned -fuzztime 30s ./internal/controller
+	go test -run '^$$' -fuzz FuzzMRMReads -fuzztime 30s ./internal/core
 
 # daemon-smoke drills the mrmd serving daemon end-to-end: start on an
 # ephemeral port, probe /healthz and /readyz, submit a request, arm /chaos,
@@ -73,16 +77,17 @@ bench:
 # test2json event lines in BENCH_all.json for regression tracking: the
 # sweep-engine scaling benchmarks (workers=1 vs workers=NumCPU), the device
 # hot-path benchmarks (superblock-pruned BER scan, coalesced reads, histogram
-# bucket cache), the cluster-level serving benchmarks (coalesced decode loop,
-# batched write path, fleet run), and the fleet-scale benchmarks (1000-node
-# fleet-day from a materialized slice and streamed, serial and pipelined,
-# plus the generation/placement microbenches that decompose the streamed
-# day).
-BENCH_JSON_RE = ^(BenchmarkSweep|BenchmarkDeviceRead|BenchmarkDeviceWrite|BenchmarkHistogramObserve|BenchmarkDecodeCoalesce|BenchmarkSimWritePath|BenchmarkFleetRun|BenchmarkFleetDay|BenchmarkFleetPlacement|BenchmarkGeneratorStream)
+# bucket cache), the MRM read path one layer at a time (core GetRefs, then
+# tier GetPlanned over the same objects), the cluster-level serving
+# benchmarks (coalesced decode loop, batched write path, fleet run), and the
+# fleet-scale benchmarks (1000-node fleet-day from a materialized slice and
+# streamed, serial and pipelined, plus the generation/placement microbenches
+# that decompose the streamed day).
+BENCH_JSON_RE = ^(BenchmarkSweep|BenchmarkDeviceRead|BenchmarkDeviceWrite|BenchmarkHistogramObserve|BenchmarkMRMGetRefs|BenchmarkGetPlanned|BenchmarkDecodeCoalesce|BenchmarkSimWritePath|BenchmarkFleetRun|BenchmarkFleetDay|BenchmarkFleetPlacement|BenchmarkGeneratorStream)
 
 bench-json:
 	go test -json -run '^$$' -bench '$(BENCH_JSON_RE)' -benchmem \
-		. ./internal/memdev ./internal/metrics ./internal/cluster > BENCH_all.json
+		. ./internal/memdev ./internal/metrics ./internal/core ./internal/tier ./internal/cluster > BENCH_all.json
 	@grep -c '"Action"' BENCH_all.json >/dev/null && echo "wrote BENCH_all.json"
 
 # bench-diff compares the device and cluster hot-path benchmarks — including

@@ -213,8 +213,9 @@ type Zoned struct {
 	dev      *memdev.Device
 	zoneSize units.Bytes
 	zones    []Zone
-	spanBuf  []memdev.Span // scratch for ReadVec/AppendVec, reused across calls
+	spanBuf  []memdev.Span // scratch for AppendVec, reused across calls
 	undoBuf  []appendUndo  // scratch for AppendVec rollback, reused across calls
+	epoch    uint64        // see Epoch
 
 	free   units.Bytes // bytes in empty zones plus the unwritten tail of open zones
 	expiry zoneHeap    // open/full zones holding data under a retention, by (deadline, id)
@@ -238,6 +239,7 @@ func NewZoned(dev *memdev.Device, zoneSize units.Bytes) (*Zoned, error) {
 		free:     units.Bytes(n) * zoneSize,
 		expiry:   newZoneHeap(n),
 		empty:    newZoneHeap(n),
+		epoch:    1,
 	}
 	for i := range z.zones {
 		z.zones[i] = Zone{ID: i, Start: units.Bytes(i) * zoneSize, Size: zoneSize}
@@ -303,15 +305,17 @@ func (z *Zoned) Append(id int, size units.Bytes) (memdev.Result, error) {
 // Read reads size bytes at offset within zone id. Reading an expired zone
 // is an error — the control plane must have refreshed or dropped it.
 func (z *Zoned) Read(id int, off, size units.Bytes) (memdev.Result, error) {
-	sp, err := z.readSpan(id, off, size)
+	sp, err := z.ReadSpan(id, off, size)
 	if err != nil {
 		return memdev.Result{}, err
 	}
 	return z.dev.ReadAt(sp.Addr, sp.Size)
 }
 
-// readSpan validates one zone read and maps it to a device span.
-func (z *Zoned) readSpan(id int, off, size units.Bytes) (memdev.Span, error) {
+// ReadSpan validates a read of size bytes at offset within zone id, with
+// Read's exact errors, and maps it to the device span Read would issue,
+// which a caller may keep and issue itself until Epoch changes.
+func (z *Zoned) ReadSpan(id int, off, size units.Bytes) (memdev.Span, error) {
 	zn, err := z.zoneRef(id)
 	if err != nil {
 		return memdev.Span{}, err
@@ -328,44 +332,11 @@ func (z *Zoned) readSpan(id int, off, size units.Bytes) (memdev.Span, error) {
 	return memdev.Span{Addr: zn.Start + off, Size: size}, nil
 }
 
-// ReadReq is one zone read within a ReadVec batch.
-type ReadReq struct {
-	Zone      int
-	Off, Size units.Bytes
-}
-
-// ReadVec performs the reads described by reqs exactly as if Read were called
-// once per request in order — same validation, same per-read device
-// accounting and fault events, same error precedence — but coalesces the
-// device accesses into a single batched call (one lock acquisition instead
-// of one per request). results[i] (len(results) must be >= len(reqs))
-// receives request i's cost. It returns the index of the first request that
-// failed plus its error, or (len(reqs), nil) on full success. A validation
-// failure at request i is reported only after the device reads for requests
-// [0, i) have been issued — and a device error among those takes precedence —
-// matching a caller that issues Read calls one at a time and stops at the
-// first error.
-func (z *Zoned) ReadVec(reqs []ReadReq, results []memdev.Result) (int, error) {
-	if len(results) < len(reqs) {
-		return 0, fmt.Errorf("controller: ReadVec: %d results for %d requests", len(results), len(reqs))
-	}
-	z.spanBuf = z.spanBuf[:0]
-	for i, r := range reqs {
-		sp, err := z.readSpan(r.Zone, r.Off, r.Size)
-		if err != nil {
-			// A sequential caller has already issued the device reads for the
-			// earlier, valid requests before hitting this one.
-			done, derr := z.dev.ReadSpans(z.spanBuf, results)
-			if derr != nil {
-				return done, derr
-			}
-			results[i] = memdev.Result{}
-			return i, err
-		}
-		z.spanBuf = append(z.spanBuf, sp)
-	}
-	return z.dev.ReadSpans(z.spanBuf, results)
-}
+// Epoch counts the transitions that can make written data unreadable: Reset,
+// expiry, CancelOpen and AppendVec's rollback. The rest only open zones or
+// advance write pointers, so a span ReadSpan accepted stays valid while Epoch
+// is unchanged. It starts at 1, so a zero stamp never matches.
+func (z *Zoned) Epoch() uint64 { return z.epoch }
 
 // AppendReq is one zone append within an AppendVec batch.
 type AppendReq struct {
@@ -440,6 +411,7 @@ func (z *Zoned) AppendVec(reqs []AppendReq, results []memdev.Result) (int, error
 func (z *Zoned) flushAppends(results []memdev.Result) (int, error) {
 	done, err := z.dev.WriteSpans(z.spanBuf, results)
 	if err != nil {
+		z.epoch++
 		for k := len(z.undoBuf) - 1; k >= done; k-- {
 			u := &z.undoBuf[k]
 			u.zone.WritePtr -= u.size
@@ -500,6 +472,7 @@ func (z *Zoned) CancelOpen(id int) error {
 	zn.State = ZoneEmpty
 	zn.Retention = 0
 	z.empty.add(id, int64(zn.Resets))
+	z.epoch++
 	return nil
 }
 
@@ -523,6 +496,7 @@ func (z *Zoned) Reset(id int) error {
 	zn.Retention = 0
 	zn.Resets++
 	z.empty.add(id, int64(zn.Resets))
+	z.epoch++
 	return nil
 }
 
@@ -540,6 +514,7 @@ func (z *Zoned) ExpireDue() []int {
 			z.free -= zn.Remaining()
 		}
 		zn.State = ZoneExpired
+		z.epoch++
 		expired = append(expired, id)
 	}
 	sort.Ints(expired)

@@ -68,9 +68,9 @@ func BenchmarkMRMTick(b *testing.B) {
 
 // BenchmarkMRMPutBatch measures storing one batch of eight 8 MiB KV pages and
 // deleting it again on a loaded serving node, so every eighth batch fills a
-// zone and opens the least-worn empty one. Deleted objects stay in the
-// control plane's object table, so the node is rebuilt, off the clock, every
-// 4,096 batches to keep memory flat.
+// zone and opens the least-worn empty one. Deleted objects leave the object
+// table, but their deadline-heap entries stay until a Tick pops them, so the
+// node is rebuilt, off the clock, every 4,096 batches to keep memory flat.
 func BenchmarkMRMPutBatch(b *testing.B) {
 	sizes := make([]units.Bytes, 8)
 	for i := range sizes {
@@ -95,6 +95,32 @@ func BenchmarkMRMPutBatch(b *testing.B) {
 			if err := m.Delete(id); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkMRMGetRefs measures one decode step's planned MRM read on a
+// loaded serving node: the weights ref (id 0) plus its 64 KV-page refs
+// (ids 1–64) per op, with the BER scan off as the serving simulator runs it.
+func BenchmarkMRMGetRefs(b *testing.B) {
+	m := newServingMRM(b)
+	m.SetBERTracking(false)
+	refs := make([]ObjRef, 65)
+	for i := range refs {
+		r, err := m.ResolveRef(ObjectID(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs[i] = r
+	}
+	if _, err := m.GetRefs(refs); err != nil { // fills the span caches and scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := m.GetRefs(refs); err != nil || n != len(refs) {
+			b.Fatalf("GetRefs read %d of %d: %v", n, len(refs), err)
 		}
 	}
 }

@@ -150,13 +150,17 @@ const (
 )
 
 type object struct {
-	id       ObjectID
-	size     units.Bytes
-	class    Class
-	opts     WriteOptions
-	extents  []extent
-	deadline time.Duration // when the data must be refreshed or dropped
-	state    objState
+	// spans caches extents as device spans, validated at zoned epoch
+	// spanEpoch (0: stale). GetRefs' fields come first, on one cache line.
+	spans     []memdev.Span
+	spanEpoch uint64
+	state     objState
+	size      units.Bytes
+	id        ObjectID
+	class     Class
+	opts      WriteOptions
+	extents   []extent
+	deadline  time.Duration // when the data must be refreshed or dropped
 }
 
 type zoneMeta struct {
@@ -234,10 +238,8 @@ type MRM struct {
 
 	// Scratch buffers for Get/GetRefs, reused across calls so the read hot
 	// path allocates nothing in steady state.
-	reqBuf  []controller.ReadReq
+	spanBuf []memdev.Span
 	resBuf  []memdev.Result
-	objEnd  []int         // per-object end index into reqBuf (GetRefs)
-	sizeBuf []units.Bytes // per-object sizes (GetRefs stats)
 
 	// Scratch buffers for PutBatch, reused across calls so the write hot
 	// path allocates only per-object state that outlives the call.
@@ -610,6 +612,7 @@ func (m *MRM) appendObject(obj *object, size units.Bytes, refresh bool) (time.Du
 	op := m.ops[obj.class]
 	wbw := m.zoned.Device().Spec().WriteBW // invariant across chunks: hoisted out of the loop
 	var worst time.Duration
+	obj.spanEpoch = 0 // the extents grow below
 	remaining := size
 	for remaining > 0 {
 		zid := m.openZone[obj.class]
@@ -633,8 +636,7 @@ func (m *MRM) appendObject(obj *object, size units.Bytes, refresh bool) (time.Du
 			chunk = zn.Remaining()
 		}
 		off := zn.WritePtr
-		res, err := m.zoned.Append(zid, chunk)
-		if err != nil {
+		if _, err := m.zoned.Append(zid, chunk); err != nil {
 			return 0, err
 		}
 		// Replace the device's generic write energy with the class's DCM
@@ -647,7 +649,6 @@ func (m *MRM) appendObject(obj *object, size units.Bytes, refresh bool) (time.Du
 		}
 		// Write latency: class-specific cell write time + transfer.
 		lat := op.WriteLatency + wbw.Time(chunk)
-		_ = res
 		if lat > worst {
 			worst = lat
 		}
@@ -683,24 +684,25 @@ func (m *MRM) objectDeadline(obj *object) time.Duration {
 
 // Get reads an object in full, returning read latency. Expired soft state
 // yields ErrExpired. The object's extents — weight-sized objects span
-// thousands of zones — are issued as one vectored read: identical per-extent
-// validation, cost, and fault accounting to extent-by-extent Reads, one lock
-// acquisition instead of one per extent.
+// thousands of zones — are issued as one vectored device read from the
+// object's validated span cache: identical per-extent validation, cost, and
+// fault accounting to extent-by-extent zone Reads, one lock acquisition
+// instead of one per extent.
 func (m *MRM) Get(id ObjectID) (time.Duration, error) {
 	obj, err := m.liveObject(id)
 	if err != nil {
 		return 0, err
 	}
-	m.reqBuf = m.reqBuf[:0]
-	for _, ext := range obj.extents {
-		m.reqBuf = append(m.reqBuf, controller.ReadReq{Zone: ext.zone, Off: ext.off, Size: ext.size})
-	}
-	res := m.results(len(m.reqBuf))
-	done, err := m.zoned.ReadVec(m.reqBuf, res)
+	spans, verr := m.spansOf(obj)
+	res := m.results(len(spans))
+	done, err := m.zoned.Device().ReadSpans(spans, res)
 	var total time.Duration
 	for i := 0; i < done; i++ {
 		m.energy.Read += res[i].Energy
 		total += res[i].Latency
+	}
+	if err == nil {
+		err = verr
 	}
 	if err != nil {
 		return 0, err
@@ -708,6 +710,28 @@ func (m *MRM) Get(id ObjectID) (time.Duration, error) {
 	m.stats.Gets++
 	m.stats.BytesRead += obj.size
 	return total, nil
+}
+
+// spansOf returns obj's extents as device spans, revalidating them through
+// the zoned controller only when a zone transition since the last validation
+// (an epoch change) may have made one unreadable. A failed validation
+// returns the valid prefix with the error a zone Read of the first invalid
+// extent gives, and leaves the cache stale.
+func (m *MRM) spansOf(obj *object) ([]memdev.Span, error) {
+	epoch := m.zoned.Epoch()
+	if obj.spanEpoch == epoch {
+		return obj.spans, nil
+	}
+	obj.spans = obj.spans[:0]
+	for _, ext := range obj.extents {
+		sp, err := m.zoned.ReadSpan(ext.zone, ext.off, ext.size)
+		if err != nil {
+			return obj.spans, err
+		}
+		obj.spans = append(obj.spans, sp)
+	}
+	obj.spanEpoch = epoch
+	return obj.spans, nil
 }
 
 // liveObject resolves id to a readable object, with Get's error contract.
@@ -737,8 +761,8 @@ func (o *object) liveErr() error {
 
 // ObjRef is an opaque reference to a resolved object, for callers that read
 // the same objects every step (the serving simulator's KV plans) and want to
-// skip the per-read id lookup. A ref stays valid until its object is deleted;
-// reads through a ref observe expiry exactly like reads by id.
+// skip the per-read id lookup. Reads through a ref observe expiry and
+// deletion exactly like reads by id.
 type ObjRef *object
 
 // ResolveRef resolves id for repeated planned reads. The object must be
@@ -754,35 +778,59 @@ func (m *MRM) ResolveRef(id ObjectID) (ObjRef, error) {
 // GetRefs reads the referenced objects exactly as if Get were called once per
 // object in order, stopping at the first error — same validation order and
 // errors, same device read sequence and fault events, same per-object energy
-// and stats — but coalesces every extent of every object into a single
-// vectored device call, and skips the id lookups, which the refs carry
-// pre-resolved. Extents are walked live, so a refresh that moved an object
+// and stats — but issues every object's cached device spans in one quiet
+// device call, and skips the id lookups, which the refs carry pre-resolved.
+// A cache is revalidated only when the zoned epoch has moved, and rebuilt
+// whenever its object's extents change, so a refresh that moved an object
 // between calls is observed, not a stale snapshot. It returns the number of
 // objects read in full and, when that is < len(refs), the error the
 // first-failing Get would have returned.
 func (m *MRM) GetRefs(refs []ObjRef) (int, error) {
-	m.reqBuf = m.reqBuf[:0]
-	m.objEnd = m.objEnd[:0]
-	m.sizeBuf = m.sizeBuf[:0]
+	buf := m.spanBuf[:0]
+	epoch := m.zoned.Epoch()
+	n, verr := len(refs), error(nil)
+	var size units.Bytes
 	for idx, ref := range refs {
 		obj := (*object)(ref)
-		if verr := obj.liveErr(); verr != nil {
-			// A sequential caller issues the reads of the earlier, valid
-			// objects before checking this one — and a device failure among
-			// those takes precedence over the validation error.
-			done, err := m.flushReads(idx)
-			if err != nil {
-				return done, err
+		var spans []memdev.Span
+		if verr = obj.liveErr(); verr == nil {
+			if spans = obj.spans; obj.spanEpoch != epoch {
+				spans, verr = m.spansOf(obj)
 			}
-			return idx, verr
 		}
-		for _, ext := range obj.extents {
-			m.reqBuf = append(m.reqBuf, controller.ReadReq{Zone: ext.zone, Off: ext.off, Size: ext.size})
+		if len(spans) == 1 {
+			buf = append(buf, spans[0]) // a KV page: skip the copy call
+		} else {
+			buf = append(buf, spans...)
 		}
-		m.objEnd = append(m.objEnd, len(m.reqBuf))
-		m.sizeBuf = append(m.sizeBuf, obj.size)
+		if verr != nil {
+			// A sequential caller issues the reads of the earlier objects and
+			// of this one's valid prefix before failing on it — and a device
+			// failure among those takes precedence over the validation error.
+			n = idx
+			break
+		}
+		size += obj.size
 	}
-	return m.flushReads(len(refs))
+	m.spanBuf = buf
+	// The device adds each completed span's energy in span order; the failing
+	// span is charged on the device but not credited, matching Get.
+	done, err := m.zoned.Device().ReadSpansQuiet(buf, &m.energy.Read)
+	if err != nil {
+		// Credit only the objects whose spans all completed.
+		k, end := 0, 0
+		for size = 0; k < n; k++ {
+			obj := (*object)(refs[k])
+			if end += len(obj.spans); end > done {
+				break
+			}
+			size += obj.size
+		}
+		n, verr = k, err
+	}
+	m.stats.Gets += int64(n)
+	m.stats.BytesRead += size
+	return n, verr
 }
 
 // NextDeadline reports the earliest simulated time at which Tick would
@@ -795,7 +843,7 @@ func (m *MRM) NextDeadline() (time.Duration, bool) {
 	found := false
 	for _, it := range m.heap {
 		obj, ok := m.objects[it.id]
-		if !ok || obj.state == objDeleted || it.deadline != obj.deadline {
+		if !ok || it.deadline != obj.deadline {
 			continue // stale entry; Tick would pop and ignore it
 		}
 		fire := it.deadline
@@ -810,30 +858,6 @@ func (m *MRM) NextDeadline() (time.Duration, bool) {
 	return best, found
 }
 
-// flushReads issues the extent reads accumulated in reqBuf for the first
-// nObjs objects and applies the accounting a sequential Get loop would:
-// read energy for every completed extent (the failing extent is charged on
-// the device but not credited here, matching Get), Gets/BytesRead for every
-// object whose extents all completed. Returns the number of fully-read
-// objects and the first device error, if any.
-func (m *MRM) flushReads(nObjs int) (int, error) {
-	res := m.results(len(m.reqBuf))
-	done, err := m.zoned.ReadVec(m.reqBuf, res)
-	for i := 0; i < done; i++ {
-		m.energy.Read += res[i].Energy
-	}
-	completed := 0
-	for completed < nObjs && m.objEnd[completed] <= done {
-		m.stats.Gets++
-		m.stats.BytesRead += m.sizeBuf[completed]
-		completed++
-	}
-	if err != nil {
-		return completed, err
-	}
-	return nObjs, nil
-}
-
 // results returns the scratch result buffer sized for n reads.
 func (m *MRM) results(n int) []memdev.Result {
 	if cap(m.resBuf) < n {
@@ -842,14 +866,16 @@ func (m *MRM) results(n int) []memdev.Result {
 	return m.resBuf[:n]
 }
 
-// Delete removes an object, releasing zones whose objects are all gone.
+// Delete removes an object, releasing zones whose objects are all gone. It
+// leaves the object table; a ref still held to it reads Get's error for it.
 func (m *MRM) Delete(id ObjectID) error {
 	obj, ok := m.objects[id]
-	if !ok || obj.state == objDeleted {
+	if !ok {
 		return fmt.Errorf("core: no object %d", id)
 	}
 	m.dropExtents(obj)
 	obj.state = objDeleted
+	delete(m.objects, id)
 	m.stats.Deletes++
 	return nil
 }
@@ -865,7 +891,7 @@ func (m *MRM) dropExtents(obj *object) {
 			m.resetZone(ext.zone)
 		}
 	}
-	obj.extents = nil
+	obj.extents, obj.spans, obj.spanEpoch = nil, nil, 0
 }
 
 // Tick advances simulated time, performing due housekeeping: refreshing
@@ -889,7 +915,7 @@ func (m *MRM) Tick(dt time.Duration) error {
 	for m.heap.Len() > 0 {
 		top := m.heap[0]
 		obj, ok := m.objects[top.id]
-		if !ok || obj.state == objDeleted || top.deadline != obj.deadline {
+		if !ok || top.deadline != obj.deadline {
 			heap.Pop(&m.heap) // stale entry
 			continue
 		}
@@ -1054,6 +1080,9 @@ func (m *MRM) Compact(threshold float64) (int, error) {
 				movers = append(movers, obj)
 			}
 		}
+		// Move in id order: the map's order would make zone choice and the
+		// refresh-energy sum differ from run to run.
+		sort.Slice(movers, func(i, j int) bool { return movers[i].id < movers[j].id })
 		ok := true
 		for _, obj := range movers {
 			if err := m.refreshObject(obj); err != nil {
@@ -1079,8 +1108,11 @@ func (m *MRM) Compact(threshold float64) (int, error) {
 	return reclaimed, nil
 }
 
-// CheckInvariants verifies control-plane consistency: every live extent
-// lies inside a written region of a non-expired zone, zone membership
+// CheckInvariants verifies control-plane consistency: the object table holds
+// no deleted object, every live extent lies inside a written region of a
+// non-empty zone, an object whose span cache is stamped with the current
+// epoch caches exactly its extents' device mapping and every span still
+// validates (a missed epoch bump or cache clear shows here), zone membership
 // matches object extents, and the zoned controller's indexes (free bytes,
 // expiry deadlines, least-worn empty zone) agree with a scan of its zones.
 // Tests call it after workloads.
@@ -1092,6 +1124,29 @@ func (m *MRM) CheckInvariants() error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// The object table and the span caches first, in a pass of their own, so
+	// a cache fault is reported ahead of any other violation.
+	for _, id := range ids {
+		obj := m.objects[id]
+		if obj.state == objDeleted {
+			return fmt.Errorf("core: deleted object %d left in the object table", id)
+		}
+		if obj.spanEpoch != m.zoned.Epoch() {
+			continue
+		}
+		if len(obj.spans) != len(obj.extents) {
+			return fmt.Errorf("core: object %d caches %d spans for %d extents", id, len(obj.spans), len(obj.extents))
+		}
+		for i, ext := range obj.extents {
+			sp, err := m.zoned.ReadSpan(ext.zone, ext.off, ext.size)
+			if err != nil {
+				return fmt.Errorf("core: object %d caches a span for extent %d that no longer validates: %w", id, i, err)
+			}
+			if sp != obj.spans[i] {
+				return fmt.Errorf("core: object %d caches span %+v for extent %d, which maps to %+v", id, obj.spans[i], i, sp)
+			}
+		}
+	}
 	members := make(map[int]map[ObjectID]bool, len(m.zones))
 	for _, id := range ids {
 		obj := m.objects[id]

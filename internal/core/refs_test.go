@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"mrm/internal/memdev"
 	"mrm/internal/units"
 )
 
@@ -309,5 +311,145 @@ func TestNextDeadlineSkipsStale(t *testing.T) {
 	}
 	if next <= m.Now() {
 		t.Fatalf("NextDeadline %v is not in the future (now %v): stale entry reported", next, m.Now())
+	}
+}
+
+// TestReadValidationPrecedence pins the error precedence of GetRefs and Get
+// against oracleGet's extent-by-extent zone Reads when a zone under a live
+// object has become unreadable behind the control plane's back: reset under
+// the object's second extent (a valid prefix is read first), or expired
+// under all of it (nothing of it is read). With read faults armed, a device
+// error on an earlier read must win over the validation error. Refs are
+// read once before the zone changes, so the span caches are stamped and
+// only the epoch can send them back to the controller.
+func TestReadValidationPrecedence(t *testing.T) {
+	resetSecond := func(m *MRM, x *object) {
+		if err := m.zoned.Reset(x.extents[1].zone); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expire := func(m *MRM, x *object) {
+		if err := m.zoned.Device().Advance(11 * time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.zoned.ExpireDue()) == 0 {
+			t.Fatal("no zone expired")
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		faults bool
+		breakX func(m *MRM, x *object)
+		want   string
+	}{
+		{"empty zone mid-object", false, resetSecond, "read from empty zone"},
+		{"expired zone", false, expire, "read from expired zone"},
+		{"device fault before empty zone", true, resetSecond, "transient fault"},
+		{"device fault before expired zone", true, expire, "transient fault"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() (*MRM, []ObjRef, ObjectID) {
+				m := newMRM(t, smallConfig())
+				long := WriteOptions{Kind: KindKVCache, Lifetime: 48 * time.Hour, Policy: PolicyDrop}
+				a, _, errA := m.Put(512*units.KiB, long)
+				x, _, errX := m.Put(24*units.MiB, WriteOptions{Kind: KindKVCache, Lifetime: 5 * time.Minute, Policy: PolicyDrop})
+				b, _, errB := m.Put(512*units.KiB, long)
+				if err := errors.Join(errA, errX, errB); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(m.objects[x].extents); n != 2 {
+					t.Fatalf("object spans %d extents, want 2", n)
+				}
+				var refs []ObjRef
+				for _, id := range []ObjectID{a, x, b} {
+					r, err := m.ResolveRef(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refs = append(refs, r)
+				}
+				if _, err := m.GetRefs(refs); err != nil {
+					t.Fatal(err)
+				}
+				tc.breakX(m, m.objects[x])
+				if tc.faults {
+					m.SetFaults(memdev.FaultConfig{Seed: 1, TransientRate: 1})
+				}
+				return m, refs, x
+			}
+			seq, seqRefs, x := mk()
+			ref, refs, _ := mk()
+			compare := func(what string, n, wantN int, err, wantErr error) {
+				t.Helper()
+				if n != wantN || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s = (%d, %v), oracle (%d, %v)", what, n, err, wantN, wantErr)
+				}
+				if ss, sr := seq.Stats(), ref.Stats(); ss != sr {
+					t.Fatalf("%s: stats diverged: %+v != %+v", what, ss, sr)
+				}
+				if es, er := seq.Energy(), ref.Energy(); !sameEnergy(es, er) {
+					t.Fatalf("%s: energy diverged: %+v != %+v", what, es, er)
+				}
+				if ds, dr := seq.zoned.Device().Stats(), ref.zoned.Device().Stats(); ds != dr {
+					t.Fatalf("%s: device stats diverged: %+v != %+v", what, ds, dr)
+				}
+			}
+			wantN, wantErr := 0, error(nil)
+			for _, r := range seqRefs {
+				if _, wantErr = oracleGet(seq, (*object)(r)); wantErr != nil {
+					break
+				}
+				wantN++
+			}
+			n, err := ref.GetRefs(refs)
+			compare("GetRefs", n, wantN, err, wantErr)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("GetRefs err %v, want %q", err, tc.want)
+			}
+			_, wantErr = oracleGetID(seq, x)
+			_, err = ref.Get(x)
+			compare("Get", 0, 0, err, wantErr)
+		})
+	}
+}
+
+// TestDeleteLeavesObjectTable pins the bounded object table: after a long
+// put/delete churn the table holds only the objects still stored, a ref to a
+// deleted object reads the same error a lookup by id gives, and expired
+// objects stay to answer ErrExpired.
+func TestDeleteLeavesObjectTable(t *testing.T) {
+	m := newMRM(t, smallConfig())
+	exp, _, err := m.Put(units.MiB, WriteOptions{Kind: KindKVCache, Lifetime: time.Minute, Policy: PolicyDrop})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Tick(15 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var last ObjRef
+	for i := 0; i < 1000; i++ {
+		id, _, err := m.Put(8*units.MiB, kvOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last, err = m.ResolveRef(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.objects) != 1 {
+		t.Fatalf("object table holds %d objects after churn, want the 1 expired one", len(m.objects))
+	}
+	if _, err := m.Get(exp); !errors.Is(err, ErrExpired) {
+		t.Fatalf("expired object: err %v, want ErrExpired", err)
+	}
+	_, byID := m.Get(m.nextID - 1)
+	if _, err := m.GetRefs([]ObjRef{last}); err == nil || err.Error() != byID.Error() {
+		t.Fatalf("ref to deleted object: err %v, by id %v", err, byID)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

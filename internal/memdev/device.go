@@ -366,40 +366,43 @@ func (d *Device) ReadSpans(spans []Span, results []Result) (int, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.readSpansLocked(spans, results)
+	return d.readSpansLocked(spans, results, nil)
 }
 
 // ReadSpansQuiet is ReadSpans without per-span cost reporting: identical
 // device state — energy, counters, wear-derived BER decisions, fault-stream
 // positions, error at the first failing span — with the Result stores
-// skipped. It exists for the tier read path, which sizes a scratch Result
-// buffer it never reads (the simulator consumes read costs through the
-// manager's per-tier byte totals, not per span); dropping the stores takes a
-// measurable slice out of the KV-read hot loop.
-func (d *Device) ReadSpansQuiet(spans []Span) (int, error) {
+// skipped, which takes a measurable slice out of the KV-read hot loop. With
+// acc non-nil, each completed span's energy is added to *acc in span order:
+// the float sum a loop over ReadSpans' results gives, failing span excluded.
+func (d *Device) ReadSpansQuiet(spans []Span, acc *units.Energy) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.readSpansLocked(spans, nil)
+	return d.readSpansLocked(spans, nil, acc)
 }
 
 // readSpansLocked charges every span in order, storing span costs into
-// results when non-nil. With no fault injection armed, no ECC budget, and BER
-// tracking off, a read's only effects are its memoized per-size cost and the
-// counters — the fast loop below charges exactly those, in the same order,
-// without touching the wear arrays (blockRange's range is only consumed by
-// the BER scan and the error text, and the fast loop re-checks the same
-// bounds). Caller holds d.mu.
-func (d *Device) readSpansLocked(spans []Span, results []Result) (int, error) {
+// results and completed spans' energy into *acc when non-nil. With no fault
+// injection armed, no ECC budget, and BER tracking off, a read's only effects
+// are its memoized per-size cost and the counters — the fast loop below
+// charges exactly those, in the same order, without touching the wear arrays
+// (blockRange's range is only consumed by the BER scan and the error text,
+// and the fast loop re-checks the same bounds). Caller holds d.mu.
+func (d *Device) readSpansLocked(spans []Span, results []Result, acc *units.Energy) (int, error) {
+	var sink units.Energy
+	if acc == nil {
+		acc = &sink
+	}
 	if !d.readInjecting && d.maxBER == 0 && !d.trackBER {
 		capacity := d.spec.Capacity
 		size, lat, e := d.lastReadSize, d.lastReadLat, d.lastReadEnergy
-		eAcc, reads, readBytes := d.energy.Read, d.reads, d.readBytes
+		eAcc, reads, readBytes, callerAcc := d.energy.Read, d.reads, d.readBytes, *acc
 		for i, sp := range spans {
 			if sp.Size == 0 || sp.Addr+sp.Size > capacity {
 				// Rare: surface blockRange's exact error with the slow path's
 				// partial charge (spans before i are charged, i is not).
 				d.lastReadSize, d.lastReadLat, d.lastReadEnergy = size, lat, e
-				d.energy.Read, d.reads, d.readBytes = eAcc, reads, readBytes
+				d.energy.Read, d.reads, d.readBytes, *acc = eAcc, reads, readBytes, callerAcc
 				if results != nil {
 					results[i] = Result{}
 				}
@@ -411,6 +414,7 @@ func (d *Device) readSpansLocked(spans []Span, results []Result) (int, error) {
 				lat, e = d.readCostLocked(size)
 			}
 			eAcc += e
+			callerAcc += e
 			reads++
 			readBytes += size
 			if results != nil {
@@ -418,7 +422,7 @@ func (d *Device) readSpansLocked(spans []Span, results []Result) (int, error) {
 			}
 		}
 		d.lastReadSize, d.lastReadLat, d.lastReadEnergy = size, lat, e
-		d.energy.Read, d.reads, d.readBytes = eAcc, reads, readBytes
+		d.energy.Read, d.reads, d.readBytes, *acc = eAcc, reads, readBytes, callerAcc
 		return len(spans), nil
 	}
 	for i, sp := range spans {
@@ -436,6 +440,7 @@ func (d *Device) readSpansLocked(spans []Span, results []Result) (int, error) {
 		if err != nil {
 			return i, err
 		}
+		*acc += res.Energy
 	}
 	return len(spans), nil
 }

@@ -337,3 +337,70 @@ func TestReadSpansValidation(t *testing.T) {
 		t.Fatalf("stats after partial batch: %+v; want 1 read of 1024 bytes", st)
 	}
 }
+
+// TestReadSpansQuietAccumulatesEnergy pins ReadSpansQuiet's energy
+// accumulator against the loop a caller would run over ReadSpans' results:
+// twin devices read the same batches, one through ReadSpans summing
+// results[:done].Energy, one through ReadSpansQuiet(spans, &acc). The sums
+// must be bitwise equal — the failing span excluded — on the fault-armed
+// path and on the fast path (faults off, BER scan off), including a span
+// beyond capacity mid-batch.
+func TestReadSpansQuietAccumulatesEnergy(t *testing.T) {
+	for _, armed := range []bool{true, false} {
+		mk := func() *Device {
+			spec := HBM3E
+			spec.Capacity = 64 * units.MiB
+			d := newTestDevice(t, spec)
+			if _, err := d.WriteAt(0, spec.Capacity); err != nil {
+				t.Fatal(err)
+			}
+			if armed {
+				d.SetFaults(FaultConfig{Seed: 7, Code: ecc.RSSpec(255, 223), UBERTarget: 1e-18, TransientRate: 0.05})
+			} else {
+				d.SetBERTracking(false)
+			}
+			return d
+		}
+		loud, quiet := mk(), mk()
+		rng := rand.New(rand.NewSource(5))
+		accLoud, accQuiet := units.Energy(0.25), units.Energy(0.25)
+		fails := 0
+		for round := 0; round < 50; round++ {
+			spans := make([]Span, 1+rng.Intn(16))
+			for i := range spans {
+				addr := units.Bytes(rng.Int63n(int64(loud.spec.Capacity - 4096)))
+				spans[i] = Span{Addr: addr, Size: 1 + units.Bytes(rng.Int63n(4096))}
+			}
+			if round%7 == 3 {
+				spans[len(spans)/2] = Span{Addr: loud.spec.Capacity, Size: 1}
+			}
+			results := make([]Result, len(spans))
+			ld, lerr := loud.ReadSpans(spans, results)
+			for _, r := range results[:ld] {
+				accLoud += r.Energy
+			}
+			qd, qerr := quiet.ReadSpansQuiet(spans, &accQuiet)
+			if qd != ld || (qerr == nil) != (lerr == nil) || (qerr != nil && qerr.Error() != lerr.Error()) {
+				t.Fatalf("armed=%v round %d: quiet (%d, %v), loud (%d, %v)", armed, round, qd, qerr, ld, lerr)
+			}
+			if lerr != nil {
+				fails++
+			}
+			if accQuiet != accLoud {
+				t.Fatalf("armed=%v round %d: accumulated %v, results sum %v", armed, round, accQuiet, accLoud)
+			}
+			if sl, sq := loud.Stats(), quiet.Stats(); sl != sq {
+				t.Fatalf("armed=%v round %d: stats diverged: %+v != %+v", armed, round, sl, sq)
+			}
+			if el, eq := loud.Energy(), quiet.Energy(); el != eq {
+				t.Fatalf("armed=%v round %d: energy diverged: %+v != %+v", armed, round, el, eq)
+			}
+		}
+		if fails == 0 {
+			t.Fatalf("armed=%v: no batch failed; the failing-span arm is untested", armed)
+		}
+		if _, err := quiet.ReadSpansQuiet([]Span{{0, 1024}}, nil); err != nil && !armed {
+			t.Fatalf("nil accumulator: %v", err)
+		}
+	}
+}

@@ -1,0 +1,65 @@
+package tier
+
+import (
+	"testing"
+	"time"
+
+	"mrm/internal/core"
+	"mrm/internal/memdev"
+	"mrm/internal/units"
+)
+
+// BenchmarkGetPlanned measures one decode step's planned read on a manager
+// shaped like the HBMPlusMRM memory system: 24 GiB of HBM plus 384 GiB of
+// MRM in 64 MiB zones under retention-aware placement, holding 13 GiB of
+// weights and 64 KV pages of 8 MiB, all of which land on the MRM tier. The
+// plan reads the weights and every page, as core's BenchmarkMRMGetRefs
+// does, so the difference between the two is the manager's own overhead.
+// The BER scan is off, as the serving simulator runs it.
+func BenchmarkGetPlanned(b *testing.B) {
+	spec := memdev.HBM3E
+	spec.Capacity = 24 * units.GiB
+	hbm, err := NewDeviceTier("hbm", spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Capacity = 384 * units.GiB
+	cfg.ZoneSize = 64 * units.MiB
+	mr, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mr.SetBERTracking(false)
+	m, err := NewManager(RetentionAwarePolicy{}, hbm, NewMRMTier("mrm", mr))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var p ReadPlan
+	add := func(meta Meta) {
+		id, _, err := m.Put(meta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tier, _ := m.TierOf(id); tier != 1 {
+			b.Fatalf("%v object placed on tier %d, want the MRM tier", meta.Kind, tier)
+		}
+		if err := m.PlanAppend(&p, id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	add(Meta{Kind: core.KindWeights, Size: 13 * units.GiB, Lifetime: 30 * 24 * time.Hour, ReadHot: true})
+	for i := 0; i < 64; i++ {
+		add(Meta{Kind: core.KindKVCache, Size: 8 * units.MiB, Lifetime: time.Hour, ReadHot: true})
+	}
+	if _, err := m.GetPlanned(&p); err != nil { // fills the span caches and scratch
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, err := m.GetPlanned(&p); err != nil || n != p.Len() {
+			b.Fatalf("GetPlanned read %d of %d: %v", n, p.Len(), err)
+		}
+	}
+}

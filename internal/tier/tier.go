@@ -299,7 +299,7 @@ func (d *DeviceTier) GetBatch(handles []uint64) (int, error) {
 		if !ok {
 			// A sequential caller has read the earlier handles before failing
 			// this lookup; a device error among those takes precedence.
-			done, derr := d.dev.ReadSpansQuiet(d.spanBuf)
+			done, derr := d.dev.ReadSpansQuiet(d.spanBuf, nil)
 			if derr != nil {
 				return done, derr
 			}
@@ -307,7 +307,7 @@ func (d *DeviceTier) GetBatch(handles []uint64) (int, error) {
 		}
 		d.spanBuf = append(d.spanBuf, memdev.Span{Addr: sp.addr, Size: sp.size})
 	}
-	return d.dev.ReadSpansQuiet(d.spanBuf)
+	return d.dev.ReadSpansQuiet(d.spanBuf, nil)
 }
 
 // ResolveSpan resolves a handle to its device span for planned reads (see
@@ -327,7 +327,7 @@ func (d *DeviceTier) ResolveSpan(handle uint64) (memdev.Span, error) {
 // consumed on this path (the simulator takes read costs from the manager's
 // per-tier totals), so it reads through ReadSpansQuiet.
 func (d *DeviceTier) GetSpans(spans []memdev.Span) (int, error) {
-	return d.dev.ReadSpansQuiet(spans)
+	return d.dev.ReadSpansQuiet(spans, nil)
 }
 
 // Delete frees an object, coalescing adjacent free spans.
