@@ -58,10 +58,13 @@ golden:
 # scans. FuzzMRMReads: puts, deletes, Ticks, compactions and fault arming on
 # twin MRMs, whose Get/GetRefs reads through the span cache must match an
 # extent-by-extent zone Read loop in results, stats, energy and device
-# counters. The checked-in seed corpora also run as part of `go test`.
+# counters. FuzzAddRepeated: memdev's O(1)-per-run repeated float add must
+# equal the plain add loop bit for bit. The checked-in seed corpora also run
+# as part of `go test`.
 fuzz:
 	go test -run '^$$' -fuzz FuzzZoned -fuzztime 30s ./internal/controller
 	go test -run '^$$' -fuzz FuzzMRMReads -fuzztime 30s ./internal/core
+	go test -run '^$$' -fuzz FuzzAddRepeated -fuzztime 30s ./internal/memdev
 
 # daemon-smoke drills the mrmd serving daemon end-to-end: start on an
 # ephemeral port, probe /healthz and /readyz, submit a request, arm /chaos,
@@ -76,8 +79,8 @@ bench:
 # bench-json captures the tracked benchmarks in one `go test` run, as
 # test2json event lines in BENCH_all.json for regression tracking: the
 # sweep-engine scaling benchmarks (workers=1 vs workers=NumCPU), the device
-# hot-path benchmarks (superblock-pruned BER scan, coalesced reads, histogram
-# bucket cache), the MRM read path one layer at a time (core GetRefs, then
+# hot-path benchmarks (superblock-pruned BER scan, coalesced reads, run-charged
+# reads, histogram bucket cache), the MRM read path one layer at a time (core GetRefs, then
 # tier GetPlanned over the same objects), the cluster-level serving
 # benchmarks (coalesced decode loop, batched write path, fleet run), and the
 # fleet-scale benchmarks (1000-node fleet-day from a materialized slice and

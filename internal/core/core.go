@@ -25,6 +25,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -151,11 +152,15 @@ const (
 
 type object struct {
 	// spans caches extents as device spans, validated at zoned epoch
-	// spanEpoch (0: stale). GetRefs' fields come first, on one cache line.
-	spans     []memdev.Span
+	// spanEpoch (0: stale); run0 (inline, saving a KV page a second load) and
+	// runs run-length encode their sizes; spanEnd is their largest end.
 	spanEpoch uint64
 	state     objState
+	run0      memdev.SizeRun
+	spanEnd   units.Bytes
 	size      units.Bytes
+	runs      []memdev.SizeRun
+	spans     []memdev.Span
 	id        ObjectID
 	class     Class
 	opts      WriteOptions
@@ -239,6 +244,7 @@ type MRM struct {
 	// Scratch buffers for Get/GetRefs, reused across calls so the read hot
 	// path allocates nothing in steady state.
 	spanBuf []memdev.Span
+	runBuf  []memdev.SizeRun
 	resBuf  []memdev.Result
 
 	// Scratch buffers for PutBatch, reused across calls so the write hot
@@ -730,8 +736,26 @@ func (m *MRM) spansOf(obj *object) ([]memdev.Span, error) {
 		}
 		obj.spans = append(obj.spans, sp)
 	}
+	obj.run0, obj.runs, obj.spanEnd = summarize(obj.spans, obj.runs[:0])
 	obj.spanEpoch = epoch
 	return obj.spans, nil
+}
+
+// summarize run-length encodes spans' sizes, runs after the first appended
+// to rest, and returns the largest span end.
+func summarize(spans []memdev.Span, rest []memdev.SizeRun) (first memdev.SizeRun, _ []memdev.SizeRun, end units.Bytes) {
+	for _, sp := range spans {
+		end = max(end, sp.Addr+sp.Size)
+		switch r := (memdev.SizeRun{Size: sp.Size, N: 1}); {
+		case first.N == 0:
+			first = r
+		case len(rest) == 0 && r.Size == first.Size:
+			first.N++
+		default:
+			rest = appendRun(rest, r)
+		}
+	}
+	return first, rest, end
 }
 
 // liveObject resolves id to a readable object, with Get's error contract.
@@ -780,14 +804,18 @@ func (m *MRM) ResolveRef(id ObjectID) (ObjRef, error) {
 // errors, same device read sequence and fault events, same per-object energy
 // and stats — but issues every object's cached device spans in one quiet
 // device call, and skips the id lookups, which the refs carry pre-resolved.
+// Its common case charges the spans' run summaries instead (getRefsQuiet).
 // A cache is revalidated only when the zoned epoch has moved, and rebuilt
 // whenever its object's extents change, so a refresh that moved an object
 // between calls is observed, not a stale snapshot. It returns the number of
 // objects read in full and, when that is < len(refs), the error the
 // first-failing Get would have returned.
 func (m *MRM) GetRefs(refs []ObjRef) (int, error) {
-	buf := m.spanBuf[:0]
 	epoch := m.zoned.Epoch()
+	if m.getRefsQuiet(refs, epoch) {
+		return len(refs), nil
+	}
+	buf := m.spanBuf[:0]
 	n, verr := len(refs), error(nil)
 	var size units.Bytes
 	for idx, ref := range refs {
@@ -831,6 +859,48 @@ func (m *MRM) GetRefs(refs []ObjRef) (int, error) {
 	m.stats.Gets += int64(n)
 	m.stats.BytesRead += size
 	return n, verr
+}
+
+// getRefsQuiet is GetRefs' common case: with every ref live and validated,
+// it charges their merged run summaries in one ReadRunsQuiet call, or else
+// charges nothing and reports false for GetRefs' span-by-span read.
+func (m *MRM) getRefsQuiet(refs []ObjRef, epoch uint64) bool {
+	runs := m.runBuf[:0]
+	var end, size units.Bytes
+	for _, ref := range refs {
+		obj := (*object)(ref)
+		// A stamp implies liveness: dropExtents clears it before death.
+		if obj.spanEpoch != epoch {
+			if obj.state != objLive {
+				return false
+			}
+			if _, err := m.spansOf(obj); err != nil {
+				return false
+			}
+		}
+		runs = appendRun(runs, obj.run0)
+		for _, r := range obj.runs {
+			runs = appendRun(runs, r)
+		}
+		end = max(end, obj.spanEnd)
+		size += obj.size
+	}
+	m.runBuf = runs
+	if !m.zoned.Device().ReadRunsQuiet(runs, end, &m.energy.Read) {
+		return false
+	}
+	m.stats.Gets += int64(len(refs))
+	m.stats.BytesRead += size
+	return true
+}
+
+// appendRun appends r to runs, merging it into the last run of its size.
+func appendRun(runs []memdev.SizeRun, r memdev.SizeRun) []memdev.SizeRun {
+	if n := len(runs); n > 0 && runs[n-1].Size == r.Size {
+		runs[n-1].N += r.N
+		return runs
+	}
+	return append(runs, r)
 }
 
 // NextDeadline reports the earliest simulated time at which Tick would
@@ -891,7 +961,7 @@ func (m *MRM) dropExtents(obj *object) {
 			m.resetZone(ext.zone)
 		}
 	}
-	obj.extents, obj.spans, obj.spanEpoch = nil, nil, 0
+	obj.extents, obj.spans, obj.runs, obj.run0, obj.spanEnd, obj.spanEpoch = nil, nil, nil, memdev.SizeRun{}, 0, 0
 }
 
 // Tick advances simulated time, performing due housekeeping: refreshing
@@ -1111,8 +1181,9 @@ func (m *MRM) Compact(threshold float64) (int, error) {
 // CheckInvariants verifies control-plane consistency: the object table holds
 // no deleted object, every live extent lies inside a written region of a
 // non-empty zone, an object whose span cache is stamped with the current
-// epoch caches exactly its extents' device mapping and every span still
-// validates (a missed epoch bump or cache clear shows here), zone membership
+// epoch is live, caches exactly its extents' device mapping, every span still
+// validates (a missed epoch bump or cache clear shows here) and its run
+// summary and end are those of its spans, zone membership
 // matches object extents, and the zoned controller's indexes (free bytes,
 // expiry deadlines, least-worn empty zone) agree with a scan of its zones.
 // Tests call it after workloads.
@@ -1134,6 +1205,9 @@ func (m *MRM) CheckInvariants() error {
 		if obj.spanEpoch != m.zoned.Epoch() {
 			continue
 		}
+		if obj.state != objLive {
+			return fmt.Errorf("core: non-live object %d has a stamped span cache", id)
+		}
 		if len(obj.spans) != len(obj.extents) {
 			return fmt.Errorf("core: object %d caches %d spans for %d extents", id, len(obj.spans), len(obj.extents))
 		}
@@ -1145,6 +1219,10 @@ func (m *MRM) CheckInvariants() error {
 			if sp != obj.spans[i] {
 				return fmt.Errorf("core: object %d caches span %+v for extent %d, which maps to %+v", id, obj.spans[i], i, sp)
 			}
+		}
+		if run0, runs, end := summarize(obj.spans, nil); run0 != obj.run0 || !slices.Equal(runs, obj.runs) || end != obj.spanEnd {
+			return fmt.Errorf("core: object %d caches runs %v%v ending at %d, its spans give %v%v ending at %d",
+				id, obj.run0, obj.runs, obj.spanEnd, run0, runs, end)
 		}
 	}
 	members := make(map[int]map[ObjectID]bool, len(m.zones))

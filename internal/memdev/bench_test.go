@@ -100,3 +100,52 @@ func BenchmarkDeviceWriteLarge(b *testing.B) {
 	}
 	b.SetBytes(int64(size))
 }
+
+// BenchmarkDeviceReadRuns charges BenchmarkMRMGetRefs's read — 13 GiB of
+// weights as 208 zone-sized spans, then 64 KV pages of 8 MiB — into a caller
+// account on the quiet path, as ReadRunsQuiet's two runs ("runs") and as the
+// 272 spans they stand for through ReadSpansQuiet ("spans"). Both charge the
+// identical floats.
+func BenchmarkDeviceReadRuns(b *testing.B) {
+	runs := []SizeRun{{Size: 64 * units.MiB, N: 208}, {Size: 8 * units.MiB, N: 64}}
+	var spans []Span
+	var end units.Bytes
+	for _, r := range runs {
+		for i := 0; i < r.N; i++ {
+			spans = append(spans, Span{Addr: end, Size: r.Size})
+			end += r.Size
+		}
+	}
+	quietDevice := func(b *testing.B) *Device {
+		spec := HBM3E
+		spec.Capacity = 192 * units.GiB
+		d, err := NewDevice(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d.SetBERTracking(false)
+		return d
+	}
+	b.Run("runs", func(b *testing.B) {
+		d := quietDevice(b)
+		var acc units.Energy
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !d.ReadRunsQuiet(runs, end, &acc) {
+				b.Fatal("ReadRunsQuiet declined the quiet path")
+			}
+		}
+	})
+	b.Run("spans", func(b *testing.B) {
+		d := quietDevice(b)
+		var acc units.Energy
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := d.ReadSpansQuiet(spans, &acc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -124,19 +124,12 @@ type Device struct {
 	wearTerms      [berCacheSize]berTermEnt // wear-term RawBER cache; guarded by mu
 	decayTerms     [berCacheSize]berTermEnt // decay-term RawBER cache; guarded by mu
 
-	// Rolling memo of the pure per-size read cost. KV paging makes almost
-	// every span on the read hot path the same size, and the latency/energy
-	// arithmetic (float divide + two conversions per span) shows up in
-	// profiles; the memo is a pure function of size, so results are
-	// bit-identical. Zero size never reaches readLocked (blockRange rejects
-	// it), so lastReadSize == 0 means "empty". Misses fall through to
-	// readCosts, a small recently-used table that absorbs the steady
-	// alternation between the weights read's size and the KV page size (one
-	// rolling entry alone thrashes twice per decode step).
-	lastReadSize   units.Bytes      // guarded by mu
-	lastReadLat    time.Duration    // guarded by mu
-	lastReadEnergy units.Energy     // guarded by mu
-	readCosts      [4]readCostEntry // guarded by mu
+	// Memo of the pure per-size read cost: the latency/energy arithmetic
+	// (float divide + two conversions) shows up in profiles, and a small
+	// recently-used table absorbs the steady alternation between the weights
+	// read's size and the KV page size. The memo is a pure function of size,
+	// so results are bit-identical.
+	readCosts [4]readCostEntry // guarded by mu
 
 	// trackBER controls whether reads evaluate the worst-block raw BER when no
 	// ECC budget forces it (SetBERTracking). On by default; callers that never
@@ -385,44 +378,35 @@ func (d *Device) ReadSpansQuiet(spans []Span, acc *units.Energy) (int, error) {
 // results and completed spans' energy into *acc when non-nil. With no fault
 // injection armed, no ECC budget, and BER tracking off, a read's only effects
 // are its memoized per-size cost and the counters — the fast loop below
-// charges exactly those, in the same order, without touching the wear arrays
-// (blockRange's range is only consumed by the BER scan and the error text,
-// and the fast loop re-checks the same bounds). Caller holds d.mu.
+// charges exactly those, in the same order, per run of equal-size spans,
+// without touching the wear arrays (blockRange's range is only consumed by
+// the BER scan and the error text, and the fast loop re-checks the same
+// bounds). Caller holds d.mu.
 func (d *Device) readSpansLocked(spans []Span, results []Result, acc *units.Energy) (int, error) {
-	var sink units.Energy
-	if acc == nil {
-		acc = &sink
-	}
 	if !d.readInjecting && d.maxBER == 0 && !d.trackBER {
 		capacity := d.spec.Capacity
-		size, lat, e := d.lastReadSize, d.lastReadLat, d.lastReadEnergy
-		eAcc, reads, readBytes, callerAcc := d.energy.Read, d.reads, d.readBytes, *acc
-		for i, sp := range spans {
-			if sp.Size == 0 || sp.Addr+sp.Size > capacity {
+		for i := 0; i < len(spans); {
+			size := spans[i].Size
+			if size == 0 || spans[i].Addr+size > capacity {
 				// Rare: surface blockRange's exact error with the slow path's
 				// partial charge (spans before i are charged, i is not).
-				d.lastReadSize, d.lastReadLat, d.lastReadEnergy = size, lat, e
-				d.energy.Read, d.reads, d.readBytes, *acc = eAcc, reads, readBytes, callerAcc
 				if results != nil {
 					results[i] = Result{}
 				}
-				_, _, err := d.blockRange(sp.Addr, sp.Size)
+				_, _, err := d.blockRange(spans[i].Addr, size)
 				return i, err
 			}
-			if sp.Size != size {
-				size = sp.Size
-				lat, e = d.readCostLocked(size)
+			j := i + 1
+			for j < len(spans) && spans[j].Size == size && spans[j].Addr+size <= capacity {
+				j++
 			}
-			eAcc += e
-			callerAcc += e
-			reads++
-			readBytes += size
-			if results != nil {
-				results[i] = Result{Latency: lat, Energy: e}
+			lat, e := d.readCostLocked(size)
+			for k := i; results != nil && k < j; k++ {
+				results[k] = Result{Latency: lat, Energy: e}
 			}
+			d.chargeRunLocked(SizeRun{Size: size, N: j - i}, e, acc)
+			i = j
 		}
-		d.lastReadSize, d.lastReadLat, d.lastReadEnergy = size, lat, e
-		d.energy.Read, d.reads, d.readBytes, *acc = eAcc, reads, readBytes, callerAcc
 		return len(spans), nil
 	}
 	for i, sp := range spans {
@@ -440,20 +424,117 @@ func (d *Device) readSpansLocked(spans []Span, results []Result, acc *units.Ener
 		if err != nil {
 			return i, err
 		}
-		*acc += res.Energy
+		if acc != nil {
+			*acc += res.Energy
+		}
 	}
 	return len(spans), nil
+}
+
+// SizeRun is N consecutive reads of Size bytes each.
+type SizeRun struct {
+	Size units.Bytes
+	N    int
+}
+
+// ReadRunsQuiet charges runs exactly as ReadSpansQuiet's fast path charges
+// spans of those sizes in order — counters, read energy and *acc bitwise
+// equal — in O(1) per run; end is the spans' largest end. With an injector
+// or ECC budget armed, BER tracking on, a run of zero size or negative count,
+// or end beyond capacity it charges nothing and returns false.
+func (d *Device) ReadRunsQuiet(runs []SizeRun, end units.Bytes, acc *units.Energy) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.readInjecting || d.maxBER > 0 || d.trackBER || end > d.spec.Capacity {
+		return false
+	}
+	for _, r := range runs {
+		if r.Size == 0 || r.N < 0 {
+			return false
+		}
+	}
+	for _, r := range runs {
+		_, e := d.readCostLocked(r.Size)
+		d.chargeRunLocked(r, e, acc)
+	}
+	return true
+}
+
+// chargeRunLocked charges r.N reads at energy e each; a nil acc is skipped, as
+// a sink from 0 would make addRepeated climb every binade. Caller holds d.mu.
+func (d *Device) chargeRunLocked(r SizeRun, e units.Energy, acc *units.Energy) {
+	d.reads += uint64(r.N)
+	d.readBytes += units.Bytes(r.N) * r.Size
+	d.energy.Read = addRepeated(d.energy.Read, e, r.N)
+	if acc != nil {
+		*acc = addRepeated(*acc, e, r.N)
+	}
+}
+
+// addRepeated returns the float64 that n successive x += e produce, bit for
+// bit, in O(binades crossed). In x's binade x = m·u (u = ulp(x), m < 2^53;
+// subnormals share the lowest binade's u) and e = (q + r)·u, 0 <= r < 1.
+// Below the binade's top every add moves m by δ = q + round(r) — from an even
+// m, a tie r = ½ rounds δ up to even — so k adds are one step m + k·δ. Plain
+// adds take a binade crossing, a tie from an odd m, x < e and negative or
+// non-finite operands; at δ = 0 no add moves x.
+func addRepeated(x, e units.Energy, n int) units.Energy {
+	if n <= 2 || !(e > 0) || math.IsInf(float64(e), 1) {
+		for ; n > 0; n-- {
+			x += e
+		}
+		return x
+	}
+	const top = 1 << 53
+	eExp, eMan := splitFloat(math.Float64bits(float64(e)))
+	for ; n > 0; n-- {
+		xb := math.Float64bits(float64(x))
+		xExp, m := splitFloat(xb)
+		s := xExp - eExp // e is eMan/2^s ulps of x
+		if xb>>63 != 0 || xb>>52 == 0x7ff || s < 0 {
+			x += e
+			continue
+		}
+		if s > 53 { // e < u/2
+			return x
+		}
+		q, rem, half := eMan>>uint(s), eMan&(1<<uint(s)-1), uint64(1)<<uint(s)>>1
+		tie := rem == half && s > 0
+		if m+q >= top || (tie && m&1 != 0) {
+			x += e
+			continue
+		}
+		delta := q
+		if rem > half || (tie && q&1 != 0) {
+			delta++
+		}
+		if delta == 0 {
+			return x
+		}
+		// Adds j = 0..k-1 stay in the binade while m + j·δ + q < top.
+		k, room := uint64(n), top-1-m-q
+		if hi, lo := bits.Mul64(k-1, delta); hi != 0 || lo > room {
+			k = room/delta + 1
+		}
+		m += k * delta
+		n -= int(k) - 1
+		x = units.Energy(math.Float64frombits(uint64(xExp-1)<<52 + m))
+	}
+	return x
+}
+
+// splitFloat splits non-negative finite float bits into man·2^(exp-1075).
+func splitFloat(b uint64) (int, uint64) {
+	if exp := int(b >> 52 & 0x7ff); exp > 0 {
+		return exp, b&(1<<52-1) | 1<<52
+	}
+	return 1, b & (1<<52 - 1)
 }
 
 // readLocked charges one logical read over blocks [first, last] and runs its
 // fault checks. Caller holds d.mu.
 func (d *Device) readLocked(addr, size units.Bytes, first, last int) (Result, error) {
-	if size != d.lastReadSize {
-		d.lastReadSize = size
-		d.lastReadLat, d.lastReadEnergy = d.readCostLocked(size)
-	}
-	lat := d.lastReadLat
-	e := d.lastReadEnergy
+	lat, e := d.readCostLocked(size)
 	d.energy.Read += e
 	d.reads++
 	d.readBytes += size

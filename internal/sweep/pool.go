@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a persistent bounded worker pool for repeated sweeps. Map spins up
@@ -108,8 +109,8 @@ type Handle[R any] struct {
 	left    int
 	errIdx  int
 	err     error
+	minFail atomic.Int64 // lowest failed cell index; len(cells) while none has failed
 	done    chan struct{}
-	cancel  context.CancelFunc
 }
 
 // Wait blocks until the sweep completes. It is idempotent: every call
@@ -127,50 +128,41 @@ func (h *Handle[R]) Wait() ([]R, error) {
 
 // MapAsync dispatches fn over every cell onto the pool and returns
 // immediately with a Handle; Wait harvests the results in cell order. fn has
-// Map's contract: it runs concurrently with other cells, must take all
-// randomness from its Cell, and its context is cancelled once any cell
-// fails (unstarted cells are then skipped; their results are never read
-// because the error wins).
+// Map's contract: it runs concurrently with other cells and must take all
+// randomness from its Cell. Once a cell fails, cells above it that have not
+// started are skipped (their results are never read because the error
+// wins), while cells below it still run, so the lowest-index error is the
+// serial loop's first error. fn's context is never cancelled: one shared
+// context cannot tell the cells below a failure from those above it.
 func MapAsync[T, R any](p *Pool, seed uint64, cells []T, fn func(ctx context.Context, c Cell, v T) (R, error)) *Handle[R] {
 	h := &Handle[R]{results: make([]R, len(cells)), left: len(cells), errIdx: -1, done: make(chan struct{})}
 	if len(cells) == 0 {
 		close(h.done)
 		return h
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	h.cancel = cancel
+	ctx := context.Background()
+	h.minFail.Store(int64(len(cells)))
 	for i := range cells {
 		i, v := i, cells[i]
 		p.submit(func() {
 			var r R
 			var err error
-			if ctx.Err() == nil {
+			if int64(i) < h.minFail.Load() {
 				r, err = fn(ctx, Cell{Index: i, Seed: DeriveSeed(seed, i)}, v)
 			}
 			h.mu.Lock()
 			if err != nil {
 				if h.errIdx < 0 || i < h.errIdx {
 					h.errIdx, h.err = i, err
+					h.minFail.Store(int64(i))
 				}
 			} else {
 				h.results[i] = r
 			}
 			h.left--
 			last := h.left == 0
-			if last && h.errIdx < 0 {
-				// Cancelled-and-skipped cells leave zero results; without a
-				// recorded error that would be silent corruption, so surface
-				// the context's own error (parent cancellation).
-				if cerr := ctx.Err(); cerr != nil {
-					h.errIdx, h.err = len(cells), cerr
-				}
-			}
 			h.mu.Unlock()
-			if err != nil {
-				cancel()
-			}
 			if last {
-				cancel()
 				close(h.done)
 			}
 		})

@@ -59,7 +59,7 @@ func TestPoolReuseAcrossSweeps(t *testing.T) {
 }
 
 // MapAsync must report the lowest-index failing cell with Map's exact
-// wrapping, and cancel the rest.
+// wrapping, and skip the cells above it.
 func TestMapAsyncLowestIndexError(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -80,6 +80,16 @@ func TestMapAsyncLowestIndexError(t *testing.T) {
 	// Wait is idempotent.
 	if _, err2 := h.Wait(); err2 == nil || err2.Error() != err.Error() {
 		t.Fatalf("second Wait differs: %v vs %v", err2, err)
+	}
+}
+
+// MapAsync, like Map, must let a lower cell outlive a higher cell's failure.
+func TestMapAsyncLowerCellOutlivesHigherFailure(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	_, err := MapAsync(p, 0, make([]struct{}, 2), lowerCellOutlivesFailure(make(chan struct{}))).Wait()
+	if want := "sweep: cell 0: cell 0 fails"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

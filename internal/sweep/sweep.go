@@ -16,8 +16,9 @@
 //     the caller performs over that slice runs serially in cell order —
 //     floating-point sums come out in the same order as a serial loop.
 //   - On failure, Map reports the error of the lowest-index failing cell
-//     (the same cell a serial loop would have failed on first) and cancels
-//     the context so unstarted cells are skipped.
+//     (the same cell a serial loop would have failed on first): unstarted
+//     cells above the failure are skipped, while every cell below it still
+//     runs to completion under the caller's context.
 //
 // The pool size defaults to runtime.NumCPU and can be overridden per call
 // (Config.Workers) or process-wide (SetDefaultWorkers — what cmd/mrmsim's
@@ -102,8 +103,9 @@ type Config struct {
 // Map evaluates fn over every cell of the grid with bounded parallelism and
 // returns the results in cell order. fn must treat its inputs as read-only
 // shared state (it runs concurrently with other cells) and take all
-// randomness from the Cell. If any cell fails, Map cancels the remaining
-// cells and returns the error of the lowest-index cell that failed.
+// randomness from the Cell. If any cell fails, Map skips the unstarted cells
+// above it and returns the error of the lowest-index cell that failed, which
+// is the serial loop's first error at any worker count.
 //
 //mrm:allow-seedpurity the worker pool is scheduler plumbing, not a decision: per-cell seeds are pure and results are collected in cell order
 func Map[T, R any](ctx context.Context, cfg Config, cells []T, fn func(ctx context.Context, c Cell, v T) (R, error)) ([]R, error) {
@@ -134,19 +136,26 @@ func Map[T, R any](ctx context.Context, cfg Config, cells []T, fn func(ctx conte
 		return results, nil
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	// A failure at cell f must not stop cells below f: the serial loop
+	// would have run them, and the lowest-index error is theirs to report.
+	// So a failure cancels no context (a cell below f would report
+	// context.Canceled in place of its own outcome); workers skip the cells
+	// above minFail instead.
 	var (
-		next atomic.Int64 // next cell index to claim
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs = map[int]error{} // failing cell index -> error
+		next     atomic.Int64 // next cell index to claim
+		minFail  atomic.Int64 // lowest failed cell index; n while none has failed
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error // cell minFail's error; guarded by mu
 	)
+	minFail.Store(int64(n))
 	fail := func(i int, err error) {
 		mu.Lock()
-		errs[i] = err
+		if int64(i) < minFail.Load() {
+			minFail.Store(int64(i))
+			firstErr = err
+		}
 		mu.Unlock()
-		cancel()
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -157,10 +166,10 @@ func Map[T, R any](ctx context.Context, cfg Config, cells []T, fn func(ctx conte
 				if i >= n {
 					return
 				}
-				if ctx.Err() != nil {
-					// Cancelled: skip unstarted cells. Their results are
-					// never read because an error is already recorded (or the
-					// parent context died, reported below).
+				if int64(i) > minFail.Load() || ctx.Err() != nil {
+					// Above a failure (its error wins, so these results are
+					// never read), or the parent context died (reported
+					// below): claims only rise, so skip the rest too.
 					return
 				}
 				r, err := fn(ctx, Cell{Index: i, Seed: DeriveSeed(cfg.Seed, i)}, cells[i])
@@ -173,16 +182,10 @@ func Map[T, R any](ctx context.Context, cfg Config, cells []T, fn func(ctx conte
 		}()
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		// Report the lowest-index failure: the cell a serial loop would have
-		// died on first (modulo cells it never reached).
-		first := -1
-		for i := range errs {
-			if first < 0 || i < first {
-				first = i
-			}
-		}
-		return nil, fmt.Errorf("sweep: cell %d: %w", first, errs[first])
+	if first := int(minFail.Load()); first < n {
+		// The cell a serial loop would have died on first: every cell below
+		// it ran to completion.
+		return nil, fmt.Errorf("sweep: cell %d: %w", first, firstErr)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

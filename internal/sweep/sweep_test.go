@@ -100,6 +100,34 @@ func TestMapReportsLowestIndexError(t *testing.T) {
 	}
 }
 
+// lowerCellOutlivesFailure is a sweep cell for the first-error tests: cell 1
+// fails at once, and cell 0, still running, fails on its own after a grace
+// period, unless its context is cancelled first.
+func lowerCellOutlivesFailure(failed chan struct{}) func(ctx context.Context, c Cell, _ struct{}) (int, error) {
+	return func(ctx context.Context, c Cell, _ struct{}) (int, error) {
+		if c.Index == 1 {
+			close(failed)
+			return 0, errors.New("cell 1 fails")
+		}
+		<-failed
+		select {
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		case <-time.After(50 * time.Millisecond):
+			return 0, errors.New("cell 0 fails")
+		}
+	}
+}
+
+// A higher cell's failure must not cancel a lower cell that is still
+// running: the lower cell's own outcome is the serial loop's first error.
+func TestMapLowerCellOutlivesHigherFailure(t *testing.T) {
+	_, err := Map(context.Background(), Config{Workers: 2}, make([]struct{}, 2), lowerCellOutlivesFailure(make(chan struct{})))
+	if want := "sweep: cell 0: cell 0 fails"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
 func TestMapCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
