@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet lint test ci bench bench-json bench-diff run-experiments cover fmt fmt-check golden-smoke golden daemon-smoke fuzz
+.PHONY: all build vet lint test ci bench bench-json bench-diff run-experiments cover fmt fmt-check golden-smoke golden daemon-smoke fuzz loc
 
 all: build vet test
 
@@ -56,9 +56,9 @@ golden:
 # sequences (with device write faults armed) must keep the zoned controller's
 # free-byte counter, deadline index and least-worn index equal to full
 # scans. FuzzMRMReads: puts, deletes, Ticks, compactions and fault arming on
-# twin MRMs, whose Get/GetRefs reads through the span cache must match an
-# extent-by-extent zone Read loop in results, stats, energy and device
-# counters. FuzzAddRepeated: memdev's O(1)-per-run repeated float add must
+# twin MRMs, whose Get/GetRefs reads (per-object vectored reads, or
+# epoch-stamped run summaries) must match an extent-by-extent zone Read loop
+# in results, stats, energy and device counters. FuzzAddRepeated: memdev's O(1)-per-run repeated float add must
 # equal the plain add loop bit for bit. The checked-in seed corpora also run
 # as part of `go test`.
 fuzz:
@@ -75,6 +75,13 @@ daemon-smoke:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# loc prints the program's size: non-test Go lines outside perfbench/ (a
+# module of its own) and testdata/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' \
+		! -path '*/testdata/*' ! -path './.git/*' ! -path './.bench_build/*' \
+		-exec cat {} + | wc -l
 
 # bench-json captures the tracked benchmarks in one `go test` run, as
 # test2json event lines in BENCH_all.json for regression tracking: the

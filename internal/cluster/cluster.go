@@ -489,14 +489,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Nothing on the planned read path consumes Result.RawBER, so the
-	// worst-BER scan is wasted work; an armed ECC budget forces the scan
-	// regardless, keeping organic fault decisions identical.
-	for _, b := range cfg.Memory.Backends() {
-		if bt, ok := b.(tier.BERTunable); ok {
-			bt.SetBERTracking(false)
-		}
-	}
 	if err := cfg.Memory.PlanAppend(&s.wPlan, id); err != nil {
 		return nil, err
 	}

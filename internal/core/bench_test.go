@@ -101,10 +101,10 @@ func BenchmarkMRMPutBatch(b *testing.B) {
 
 // BenchmarkMRMGetRefs measures one decode step's planned MRM read on a
 // loaded serving node: the weights ref (id 0) plus its 64 KV-page refs
-// (ids 1–64) per op, with the BER scan off as the serving simulator runs it.
+// (ids 1–64) per op. No ECC budget is armed, so the BER scan is off, as in
+// the serving simulator.
 func BenchmarkMRMGetRefs(b *testing.B) {
 	m := newServingMRM(b)
-	m.SetBERTracking(false)
 	refs := make([]ObjRef, 65)
 	for i := range refs {
 		r, err := m.ResolveRef(ObjectID(i))
@@ -113,7 +113,7 @@ func BenchmarkMRMGetRefs(b *testing.B) {
 		}
 		refs[i] = r
 	}
-	if _, err := m.GetRefs(refs); err != nil { // fills the span caches and scratch
+	if _, err := m.GetRefs(refs); err != nil { // stamps the objects and fills the scratch
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

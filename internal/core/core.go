@@ -151,16 +151,16 @@ const (
 )
 
 type object struct {
-	// spans caches extents as device spans, validated at zoned epoch
-	// spanEpoch (0: stale); run0 (inline, saving a KV page a second load) and
-	// runs run-length encode their sizes; spanEnd is their largest end.
+	// spanEpoch is the zoned epoch at which every extent last validated (0:
+	// stale); run0 (inline, saving a KV page a second load) and runs
+	// run-length encode the validated device spans' sizes, and spanEnd is
+	// their largest end.
 	spanEpoch uint64
 	state     objState
 	run0      memdev.SizeRun
 	spanEnd   units.Bytes
 	size      units.Bytes
 	runs      []memdev.SizeRun
-	spans     []memdev.Span
 	id        ObjectID
 	class     Class
 	opts      WriteOptions
@@ -245,10 +245,10 @@ type MRM struct {
 	// path allocates nothing in steady state.
 	spanBuf []memdev.Span
 	runBuf  []memdev.SizeRun
-	resBuf  []memdev.Result
 
 	// Scratch buffers for PutBatch, reused across calls so the write hot
 	// path allocates only per-object state that outlives the call.
+	resBuf  []memdev.Result
 	putPlan []putChunk
 	putEnds []int // per-object end index into putPlan
 	putReqs []controller.AppendReq
@@ -391,10 +391,6 @@ func (m *MRM) SetFaults(cfg memdev.FaultConfig) {
 	}
 	m.zoned.Device().SetFaults(cfg)
 }
-
-// SetBERTracking forwards the read path's BER-scan switch to the underlying
-// device (see memdev.Device.SetBERTracking).
-func (m *MRM) SetBERTracking(on bool) { m.zoned.Device().SetBERTracking(on) }
 
 // Now returns device time.
 func (m *MRM) Now() time.Duration { return m.zoned.Device().Now() }
@@ -689,24 +685,26 @@ func (m *MRM) objectDeadline(obj *object) time.Duration {
 }
 
 // Get reads an object in full, returning read latency. Expired soft state
-// yields ErrExpired. The object's extents — weight-sized objects span
-// thousands of zones — are issued as one vectored device read from the
-// object's validated span cache: identical per-extent validation, cost, and
-// fault accounting to extent-by-extent zone Reads, one lock acquisition
-// instead of one per extent.
+// yields ErrExpired.
 func (m *MRM) Get(id ObjectID) (time.Duration, error) {
 	obj, err := m.liveObject(id)
 	if err != nil {
 		return 0, err
 	}
-	spans, verr := m.spansOf(obj)
-	res := m.results(len(spans))
-	done, err := m.zoned.Device().ReadSpans(spans, res)
-	var total time.Duration
-	for i := 0; i < done; i++ {
-		m.energy.Read += res[i].Energy
-		total += res[i].Latency
+	return m.read(obj)
+}
+
+// read is Get past the id lookup. The object's extents — weight-sized objects
+// span thousands of zones — are validated and issued as one vectored device
+// read: identical per-extent validation, cost, and fault accounting to
+// extent-by-extent zone Reads, one lock acquisition instead of one per extent.
+func (m *MRM) read(obj *object) (time.Duration, error) {
+	if err := obj.liveErr(); err != nil {
+		return 0, err
 	}
+	spans, verr := m.spansOf(obj)
+	// A device failure in the valid prefix precedes the validation error.
+	_, lat, err := m.zoned.Device().ReadSpans(spans, &m.energy.Read)
 	if err == nil {
 		err = verr
 	}
@@ -715,30 +713,27 @@ func (m *MRM) Get(id ObjectID) (time.Duration, error) {
 	}
 	m.stats.Gets++
 	m.stats.BytesRead += obj.size
-	return total, nil
+	return lat, nil
 }
 
-// spansOf returns obj's extents as device spans, revalidating them through
-// the zoned controller only when a zone transition since the last validation
-// (an epoch change) may have made one unreadable. A failed validation
-// returns the valid prefix with the error a zone Read of the first invalid
-// extent gives, and leaves the cache stale.
+// spansOf validates obj's extents through the zoned controller into the span
+// scratch and returns their device spans: the valid prefix, with the error a
+// zone Read of the first invalid extent gives. A full pass stamps obj with the
+// current epoch, rebuilding its run summary if the stamp was stale.
 func (m *MRM) spansOf(obj *object) ([]memdev.Span, error) {
-	epoch := m.zoned.Epoch()
-	if obj.spanEpoch == epoch {
-		return obj.spans, nil
-	}
-	obj.spans = obj.spans[:0]
+	m.spanBuf = m.spanBuf[:0]
 	for _, ext := range obj.extents {
 		sp, err := m.zoned.ReadSpan(ext.zone, ext.off, ext.size)
 		if err != nil {
-			return obj.spans, err
+			return m.spanBuf, err
 		}
-		obj.spans = append(obj.spans, sp)
+		m.spanBuf = append(m.spanBuf, sp)
 	}
-	obj.run0, obj.runs, obj.spanEnd = summarize(obj.spans, obj.runs[:0])
-	obj.spanEpoch = epoch
-	return obj.spans, nil
+	if epoch := m.zoned.Epoch(); obj.spanEpoch != epoch {
+		obj.run0, obj.runs, obj.spanEnd = summarize(m.spanBuf, obj.runs[:0])
+		obj.spanEpoch = epoch
+	}
+	return m.spanBuf, nil
 }
 
 // summarize run-length encodes spans' sizes, runs after the first appended
@@ -800,71 +795,30 @@ func (m *MRM) ResolveRef(id ObjectID) (ObjRef, error) {
 }
 
 // GetRefs reads the referenced objects exactly as if Get were called once per
-// object in order, stopping at the first error — same validation order and
-// errors, same device read sequence and fault events, same per-object energy
-// and stats — but issues every object's cached device spans in one quiet
-// device call, and skips the id lookups, which the refs carry pre-resolved.
-// Its common case charges the spans' run summaries instead (getRefsQuiet).
-// A cache is revalidated only when the zoned epoch has moved, and rebuilt
-// whenever its object's extents change, so a refresh that moved an object
-// between calls is observed, not a stale snapshot. It returns the number of
-// objects read in full and, when that is < len(refs), the error the
-// first-failing Get would have returned.
+// object in order, stopping at the first error, but skips the id lookups,
+// which the refs carry pre-resolved. Its common case charges the objects'
+// run summaries (getRefsQuiet); otherwise it reads each object in turn. It
+// returns the number of objects read in full and, when that is < len(refs),
+// the error the first-failing Get would have returned.
 func (m *MRM) GetRefs(refs []ObjRef) (int, error) {
-	epoch := m.zoned.Epoch()
-	if m.getRefsQuiet(refs, epoch) {
+	if m.getRefsQuiet(refs) {
 		return len(refs), nil
 	}
-	buf := m.spanBuf[:0]
-	n, verr := len(refs), error(nil)
-	var size units.Bytes
-	for idx, ref := range refs {
-		obj := (*object)(ref)
-		var spans []memdev.Span
-		if verr = obj.liveErr(); verr == nil {
-			if spans = obj.spans; obj.spanEpoch != epoch {
-				spans, verr = m.spansOf(obj)
-			}
+	for i, ref := range refs {
+		if _, err := m.read((*object)(ref)); err != nil {
+			return i, err
 		}
-		if len(spans) == 1 {
-			buf = append(buf, spans[0]) // a KV page: skip the copy call
-		} else {
-			buf = append(buf, spans...)
-		}
-		if verr != nil {
-			// A sequential caller issues the reads of the earlier objects and
-			// of this one's valid prefix before failing on it — and a device
-			// failure among those takes precedence over the validation error.
-			n = idx
-			break
-		}
-		size += obj.size
 	}
-	m.spanBuf = buf
-	// The device adds each completed span's energy in span order; the failing
-	// span is charged on the device but not credited, matching Get.
-	done, err := m.zoned.Device().ReadSpansQuiet(buf, &m.energy.Read)
-	if err != nil {
-		// Credit only the objects whose spans all completed.
-		k, end := 0, 0
-		for size = 0; k < n; k++ {
-			obj := (*object)(refs[k])
-			if end += len(obj.spans); end > done {
-				break
-			}
-			size += obj.size
-		}
-		n, verr = k, err
-	}
-	m.stats.Gets += int64(n)
-	m.stats.BytesRead += size
-	return n, verr
+	return len(refs), nil
 }
 
 // getRefsQuiet is GetRefs' common case: with every ref live and validated,
 // it charges their merged run summaries in one ReadRunsQuiet call, or else
-// charges nothing and reports false for GetRefs' span-by-span read.
-func (m *MRM) getRefsQuiet(refs []ObjRef, epoch uint64) bool {
+// charges nothing and reports false. A summary is revalidated only when the
+// zoned epoch has moved, and rebuilt whenever its object's extents change, so
+// a refresh that moved an object between calls is observed.
+func (m *MRM) getRefsQuiet(refs []ObjRef) bool {
+	epoch := m.zoned.Epoch()
 	runs := m.runBuf[:0]
 	var end, size units.Bytes
 	for _, ref := range refs {
@@ -928,7 +882,7 @@ func (m *MRM) NextDeadline() (time.Duration, bool) {
 	return best, found
 }
 
-// results returns the scratch result buffer sized for n reads.
+// results returns the scratch result buffer sized for n device accesses.
 func (m *MRM) results(n int) []memdev.Result {
 	if cap(m.resBuf) < n {
 		m.resBuf = make([]memdev.Result, n)
@@ -961,7 +915,7 @@ func (m *MRM) dropExtents(obj *object) {
 			m.resetZone(ext.zone)
 		}
 	}
-	obj.extents, obj.spans, obj.runs, obj.run0, obj.spanEnd, obj.spanEpoch = nil, nil, nil, memdev.SizeRun{}, 0, 0
+	obj.extents, obj.runs, obj.run0, obj.spanEnd, obj.spanEpoch = nil, nil, memdev.SizeRun{}, 0, 0
 }
 
 // Tick advances simulated time, performing due housekeeping: refreshing
@@ -1180,13 +1134,12 @@ func (m *MRM) Compact(threshold float64) (int, error) {
 
 // CheckInvariants verifies control-plane consistency: the object table holds
 // no deleted object, every live extent lies inside a written region of a
-// non-empty zone, an object whose span cache is stamped with the current
-// epoch is live, caches exactly its extents' device mapping, every span still
-// validates (a missed epoch bump or cache clear shows here) and its run
-// summary and end are those of its spans, zone membership
-// matches object extents, and the zoned controller's indexes (free bytes,
-// expiry deadlines, least-worn empty zone) agree with a scan of its zones.
-// Tests call it after workloads.
+// non-empty zone, an object stamped with the current epoch is live, every one
+// of its extents still validates (a missed epoch bump or stamp clear shows
+// here) and its run summary and end are those of its validated spans, zone
+// membership matches object extents, and the zoned controller's indexes (free
+// bytes, expiry deadlines, least-worn empty zone) agree with a scan of its
+// zones. Tests call it after workloads.
 func (m *MRM) CheckInvariants() error {
 	// Object extents vs zone membership. Iterate objects in sorted-id order
 	// so the first violation reported is the same in every run.
@@ -1195,8 +1148,8 @@ func (m *MRM) CheckInvariants() error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// The object table and the span caches first, in a pass of their own, so
-	// a cache fault is reported ahead of any other violation.
+	// The object table and the stamps first, in a pass of their own, so a
+	// stale stamp is reported ahead of any other violation.
 	for _, id := range ids {
 		obj := m.objects[id]
 		if obj.state == objDeleted {
@@ -1206,22 +1159,18 @@ func (m *MRM) CheckInvariants() error {
 			continue
 		}
 		if obj.state != objLive {
-			return fmt.Errorf("core: non-live object %d has a stamped span cache", id)
+			return fmt.Errorf("core: non-live object %d is stamped", id)
 		}
-		if len(obj.spans) != len(obj.extents) {
-			return fmt.Errorf("core: object %d caches %d spans for %d extents", id, len(obj.spans), len(obj.extents))
-		}
+		spans := make([]memdev.Span, 0, len(obj.extents))
 		for i, ext := range obj.extents {
 			sp, err := m.zoned.ReadSpan(ext.zone, ext.off, ext.size)
 			if err != nil {
-				return fmt.Errorf("core: object %d caches a span for extent %d that no longer validates: %w", id, i, err)
+				return fmt.Errorf("core: object %d is stamped, but its extent %d no longer validates: %w", id, i, err)
 			}
-			if sp != obj.spans[i] {
-				return fmt.Errorf("core: object %d caches span %+v for extent %d, which maps to %+v", id, obj.spans[i], i, sp)
-			}
+			spans = append(spans, sp)
 		}
-		if run0, runs, end := summarize(obj.spans, nil); run0 != obj.run0 || !slices.Equal(runs, obj.runs) || end != obj.spanEnd {
-			return fmt.Errorf("core: object %d caches runs %v%v ending at %d, its spans give %v%v ending at %d",
+		if run0, runs, end := summarize(spans, nil); run0 != obj.run0 || !slices.Equal(runs, obj.runs) || end != obj.spanEnd {
+			return fmt.Errorf("core: object %d summarizes runs %v%v ending at %d, its spans give %v%v ending at %d",
 				id, obj.run0, obj.runs, obj.spanEnd, run0, runs, end)
 		}
 	}

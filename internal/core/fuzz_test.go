@@ -10,7 +10,7 @@ import (
 	"mrm/internal/units"
 )
 
-// oracleGet is Get as it was before reads went through the span cache: the
+// oracleGet is Get as it was before reads were vectored and run-charged: the
 // liveness check, then one zone Read per extent — validated afresh every
 // time — stopping at the first error, with each completed extent's energy
 // and latency added in extent order. FuzzMRMReads checks Get and GetRefs
@@ -53,17 +53,14 @@ var fuzzOpts = []WriteOptions{
 	{Kind: KindWeights, Lifetime: 2 * time.Hour, Policy: PolicyRefresh},
 }
 
-// newFuzzMRM builds a small MRM: 48 MiB in 1 MiB zones, with the BER scan
-// off as the serving simulator runs it, so reads take the device's fast
-// path until faults are armed.
+// newFuzzMRM builds a small MRM: 48 MiB in 1 MiB zones. No ECC budget is
+// armed, so reads take the device's fast path until faults are armed.
 func newFuzzMRM(t *testing.T) *MRM {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Capacity = 48 * units.MiB
 	cfg.ZoneSize = units.MiB
-	m := newMRM(t, cfg)
-	m.SetBERTracking(false)
-	return m
+	return newMRM(t, cfg)
 }
 
 // sameEnergy reports whether two energy accounts are bitwise equal.
@@ -85,9 +82,9 @@ func sameEnergy(a, b EnergyAccount) bool {
 // oracleGet on the other, over refs held across all of those ops. After
 // every op the twins must agree on the read's count and error text, on
 // Stats, on the energy account (bitwise), on the device counters and on
-// CheckInvariants' verdict — which on m also covers the span caches, so a
-// cache left stamped across a change that should have invalidated it
-// shows up as a disagreement.
+// CheckInvariants' verdict — which on m also covers the epoch stamps and
+// run summaries, so an object left stamped across a change that should
+// have invalidated it shows up as a disagreement.
 //
 // The first byte seeds the fault streams; each op is then three bytes
 // (op, a, b), and a batched put reads one more byte per object. Op errors
@@ -99,7 +96,7 @@ func FuzzMRMReads(f *testing.F) {
 		}
 		seed := uint64(data[0])
 		data = data[1:]
-		m, o := newFuzzMRM(t), newFuzzMRM(t) // m reads through the span cache, o through the oracle
+		m, o := newFuzzMRM(t), newFuzzMRM(t) // m reads through Get/GetRefs, o through the oracle
 		size := func(b byte) units.Bytes { return units.Bytes(1+int(b)) * 16 * units.KiB }
 		id := func(a byte) ObjectID { return ObjectID(int(a) % (int(m.nextID) + 2)) }
 		type held struct{ m, o ObjRef }
@@ -204,9 +201,9 @@ func FuzzMRMReads(f *testing.F) {
 				t.Fatalf("step %d: device stats diverged:\n%+v\n%+v", step, dm, do)
 			}
 			// A failed put or refresh leaves residue CheckInvariants rejects
-			// on both twins alike (o never fills a span cache), so the twins'
-			// verdicts are compared; the cache checks run in a pass of their
-			// own ahead of the rest, so a cache fault on m is never masked by
+			// on both twins alike (o never stamps an object), so the twins'
+			// verdicts are compared; the stamp checks run in a pass of their
+			// own ahead of the rest, so a stamp fault on m is never masked by
 			// residue on a lower id.
 			if vm, vo := m.CheckInvariants(), o.CheckInvariants(); fmt.Sprint(vm) != fmt.Sprint(vo) {
 				t.Fatalf("step %d: invariants: %v, oracle twin: %v", step, vm, vo)

@@ -9,7 +9,9 @@ import (
 
 // TestGetVectoredMatchesLegacyLoop pins Get's vectored read against the
 // arithmetic of the extent-by-extent loop it replaced: summed per-extent
-// latencies and energies over a multi-zone object.
+// latencies and energies over a multi-zone object. No ECC budget is armed,
+// so Get takes the device's fast path, which charges each run of
+// equal-size spans' latency as one product.
 func TestGetVectoredMatchesLegacyLoop(t *testing.T) {
 	m := newMRM(t, smallConfig())
 	id, _, err := m.Put(40*units.MiB, WriteOptions{Kind: KindWeights, Lifetime: 24 * time.Hour, Policy: PolicyRefresh})

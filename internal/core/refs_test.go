@@ -320,8 +320,8 @@ func TestNextDeadlineSkipsStale(t *testing.T) {
 // the object's second extent (a valid prefix is read first), or expired
 // under all of it (nothing of it is read). With read faults armed, a device
 // error on an earlier read must win over the validation error. Refs are
-// read once before the zone changes, so the span caches are stamped and
-// only the epoch can send them back to the controller.
+// read once before the zone changes, so the objects are stamped and only
+// the epoch can send the run-charged path back to the controller.
 func TestReadValidationPrecedence(t *testing.T) {
 	resetSecond := func(m *MRM, x *object) {
 		if err := m.zoned.Reset(x.extents[1].zone); err != nil {

@@ -12,7 +12,7 @@ import (
 // TestGetRefsRunPathFollowsRestripedObjects pins GetRefs' run-charged path
 // against the extent-by-extent oracle on a twin across a refresh that moves
 // objects straddling zones to fresh zones, which changes their run
-// summaries while their cache stamps go stale. Refreshed weights of 16 KiB
+// summaries while their epoch stamps go stale. Refreshed weights of 16 KiB
 // and 1.5 MiB, and KV pages, are read before and after the refresh; counts,
 // stats, energy (bitwise) and the device counters must match the oracle.
 func TestGetRefsRunPathFollowsRestripedObjects(t *testing.T) {

@@ -4,13 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"mrm/internal/ecc"
 	"mrm/internal/units"
 )
 
 // weightDevice builds a device sized like an accelerator's weight store:
 // 192 GiB of HBM-class memory tracked at 2 MiB wear blocks (~98k blocks), a
 // weight-sized object written across most of it, and an hour of age so the
-// retention-decay term of the BER model is live.
+// retention-decay term of the BER model is live. An ECC budget no read
+// reaches is armed, so every read runs the worst-BER scan.
 func weightDevice(b *testing.B) (*Device, units.Bytes) {
 	b.Helper()
 	spec := HBM3E
@@ -26,6 +28,7 @@ func weightDevice(b *testing.B) (*Device, units.Bytes) {
 	if err := d.Advance(time.Hour); err != nil {
 		b.Fatal(err)
 	}
+	d.SetFaults(FaultConfig{Code: ecc.RSSpec(255, 223), UBERTarget: 1e-12})
 	return d, size
 }
 
@@ -71,10 +74,9 @@ func BenchmarkDeviceReadSpans(b *testing.B) {
 	for p := range spans {
 		spans[p] = Span{Addr: units.Bytes(p) * pageBytes, Size: pageBytes}
 	}
-	results := make([]Result, pages)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.ReadSpans(spans, results); err != nil {
+		if _, _, err := d.ReadSpans(spans, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,7 +106,7 @@ func BenchmarkDeviceWriteLarge(b *testing.B) {
 // BenchmarkDeviceReadRuns charges BenchmarkMRMGetRefs's read — 13 GiB of
 // weights as 208 zone-sized spans, then 64 KV pages of 8 MiB — into a caller
 // account on the quiet path, as ReadRunsQuiet's two runs ("runs") and as the
-// 272 spans they stand for through ReadSpansQuiet ("spans"). Both charge the
+// 272 spans they stand for through ReadSpans ("spans"). Both charge the
 // identical floats.
 func BenchmarkDeviceReadRuns(b *testing.B) {
 	runs := []SizeRun{{Size: 64 * units.MiB, N: 208}, {Size: 8 * units.MiB, N: 64}}
@@ -123,7 +125,6 @@ func BenchmarkDeviceReadRuns(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		d.SetBERTracking(false)
 		return d
 	}
 	b.Run("runs", func(b *testing.B) {
@@ -143,7 +144,7 @@ func BenchmarkDeviceReadRuns(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := d.ReadSpansQuiet(spans, &acc); err != nil {
+			if _, _, err := d.ReadSpans(spans, &acc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -39,10 +39,11 @@ func driveDevice(t *testing.T, d *Device, seed int64) []Result {
 	return out
 }
 
-// TestBERTrackingOffTwin runs twin devices — tracking on vs off — through an
-// identical schedule and checks that everything except Result.RawBER is
-// bit-identical: latencies, energies, counters, wear. RawBER must be 0 with
-// tracking off and >= 0 with it on.
+// TestBERTrackingOffTwin runs twin devices — one armed with an ECC budget no
+// read reaches, one unarmed — through an identical schedule and checks that
+// everything except Result.RawBER is bit-identical: latencies, energies,
+// counters, wear. The worst-BER scan runs only under a budget, so RawBER must
+// be > 0 on the armed twin and 0 on the unarmed one.
 func TestBERTrackingOffTwin(t *testing.T) {
 	spec := HBM3E
 	spec.Capacity = 640 * units.MiB
@@ -54,7 +55,9 @@ func TestBERTrackingOffTwin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off.SetBERTracking(false)
+	// RS(255,223) absorbs a raw BER near 1.3e-3 at this target, far above
+	// what the schedule's wear and age reach.
+	on.SetFaults(FaultConfig{Code: ecc.RSSpec(255, 223), UBERTarget: 1e-12})
 	resOn := driveDevice(t, on, 99)
 	resOff := driveDevice(t, off, 99)
 	if len(resOn) != len(resOff) {
@@ -65,7 +68,10 @@ func TestBERTrackingOffTwin(t *testing.T) {
 			t.Fatalf("read %d cost differs: %+v vs %+v", i, resOn[i], resOff[i])
 		}
 		if resOff[i].RawBER != 0 {
-			t.Fatalf("read %d: RawBER %v reported with tracking off", i, resOff[i].RawBER)
+			t.Fatalf("read %d: RawBER %v reported with no budget armed", i, resOff[i].RawBER)
+		}
+		if resOn[i].RawBER <= 0 {
+			t.Fatalf("read %d: RawBER %v under an armed budget", i, resOn[i].RawBER)
 		}
 	}
 	if on.Energy() != off.Energy() {
@@ -79,9 +85,9 @@ func TestBERTrackingOffTwin(t *testing.T) {
 	}
 }
 
-// TestBERTrackingOffKeepsECCBudgetCheck pins that an armed ECC budget forces
-// the worst-BER scan even with tracking off: organic uncorrectable reads — the
-// wear/age-outruns-the-code failure mode — must not be silently disabled.
+// TestBERTrackingOffKeepsECCBudgetCheck pins that an armed ECC budget runs
+// the worst-BER scan: organic uncorrectable reads — the wear/age-outruns-the-
+// code failure mode — must not be silently disabled.
 func TestBERTrackingOffKeepsECCBudgetCheck(t *testing.T) {
 	spec := HBM3E
 	spec.Capacity = 64 * units.MiB
@@ -90,7 +96,6 @@ func TestBERTrackingOffKeepsECCBudgetCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetBERTracking(false)
 	d.SetFaults(FaultConfig{Seed: 1, Code: ecc.RSSpec(255, 223), UBERTarget: 1e-18})
 	// Wear one block far past its endurance.
 	for i := 0; i < 5000; i++ {
@@ -100,7 +105,7 @@ func TestBERTrackingOffKeepsECCBudgetCheck(t *testing.T) {
 	}
 	res, err := d.ReadAt(0, 2*units.MiB)
 	if err == nil {
-		t.Fatal("worn-out read succeeded: ECC budget check lost with tracking off")
+		t.Fatal("worn-out read succeeded: ECC budget check lost")
 	}
 	if res.RawBER == 0 {
 		t.Fatal("uncorrectable read reported RawBER 0: budget path must still scan")

@@ -35,8 +35,10 @@ type Result struct {
 	Latency time.Duration // first-byte latency + transfer time
 	Energy  units.Energy
 	// RawBER is the expected raw bit error rate of the data returned by a
-	// read (0 for writes): it reflects wear of the touched blocks and, for
-	// managed devices, time since the data was written.
+	// read: it reflects wear of the touched blocks and, for managed devices,
+	// time since the data was written. The read path evaluates it only to
+	// gate the read against an armed ECC budget (SetFaults with a Code), so
+	// it is 0 on a device without one, and for writes.
 	RawBER float64
 }
 
@@ -131,13 +133,6 @@ type Device struct {
 	// so results are bit-identical.
 	readCosts [4]readCostEntry // guarded by mu
 
-	// trackBER controls whether reads evaluate the worst-block raw BER when no
-	// ECC budget forces it (SetBERTracking). On by default; callers that never
-	// consume Result.RawBER turn it off to skip the scan entirely. With an ECC
-	// budget armed (maxBER > 0) the scan always runs — the organic-fault check
-	// needs it — so fault decisions are identical either way.
-	trackBER bool // guarded by mu
-
 	// Fault injection (SetFaults). All decisions are pure functions of the
 	// fault seed and the read/write counters, so a device's fault sequence is
 	// deterministic regardless of goroutine scheduling.
@@ -199,7 +194,6 @@ func NewDevice(spec Spec) (*Device, error) {
 		sbMinLastWrite: make([]time.Duration, nsb),
 		berParams:      cellphys.DefaultBER,
 		op:             op,
-		trackBER:       true,
 	}, nil
 }
 
@@ -247,18 +241,6 @@ func (d *Device) SetFaults(cfg FaultConfig) {
 	d.writeFault = fault.NewInjector(cfg.Seed, cfg.WriteFaultRate)
 	d.readInjecting = d.transient != nil || d.lapse != nil
 	d.writeInjecting = d.writeFault != nil
-}
-
-// SetBERTracking enables or disables the read path's worst-block BER scan
-// when no ECC budget requires it. Everything else a read does — latency,
-// energy, counters, injected-fault decisions — is untouched; only
-// Result.RawBER becomes 0 while tracking is off and no budget is armed.
-// Organic fault checks are unaffected: an armed ECC budget (SetFaults with a
-// Code) forces the scan regardless of this setting.
-func (d *Device) SetBERTracking(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.trackBER = on
 }
 
 // Now returns the device-local simulated time.
@@ -346,89 +328,60 @@ func (d *Device) readCostLocked(size units.Bytes) (time.Duration, units.Energy) 
 
 // ReadSpans performs the reads described by spans exactly as if ReadAt were
 // called once per span in order — each span is a distinct logical read with
-// its own latency, energy, worst BER, read-counter increment, and fault
-// check — but under a single lock acquisition. results[i] (len(results) must
-// be >= len(spans)) receives span i's cost. It returns the index of the
-// first span that failed (with its error; results[done] still carries the
-// charged cost of an uncorrectable read), or (len(spans), nil) when every
-// span succeeded. Spans after a failure are not charged, matching a caller
-// that stops issuing ReadAt calls at the first error.
-func (d *Device) ReadSpans(spans []Span, results []Result) (int, error) {
-	if len(results) < len(spans) {
-		return 0, fmt.Errorf("memdev: ReadSpans: %d results for %d spans", len(results), len(spans))
-	}
+// its own latency, energy, read-counter increment, and fault check — but
+// under a single lock acquisition. It returns the number of spans completed
+// and their total latency; when done < len(spans), err is span done's error
+// (an uncorrectable span is charged on the device, as ReadAt charges it, but
+// left out of lat and *acc). Spans after a failure are not charged, matching
+// a caller that stops issuing ReadAt calls at the first error. With acc
+// non-nil, each completed span's energy is added to *acc in span order: the
+// float sum a loop over ReadAt's results gives.
+//
+// With no injector armed and no ECC budget, a read's only effects are its
+// memoized per-size cost and the counters, so the fast loop charges exactly
+// those per run of equal-size spans — the run's latency as one exact integer
+// product — without touching the wear arrays (blockRange's range is only
+// consumed by the BER scan and the error text, and the fast loop re-checks
+// the same bounds).
+func (d *Device) ReadSpans(spans []Span, acc *units.Energy) (done int, lat time.Duration, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.readSpansLocked(spans, results, nil)
-}
-
-// ReadSpansQuiet is ReadSpans without per-span cost reporting: identical
-// device state — energy, counters, wear-derived BER decisions, fault-stream
-// positions, error at the first failing span — with the Result stores
-// skipped, which takes a measurable slice out of the KV-read hot loop. With
-// acc non-nil, each completed span's energy is added to *acc in span order:
-// the float sum a loop over ReadSpans' results gives, failing span excluded.
-func (d *Device) ReadSpansQuiet(spans []Span, acc *units.Energy) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.readSpansLocked(spans, nil, acc)
-}
-
-// readSpansLocked charges every span in order, storing span costs into
-// results and completed spans' energy into *acc when non-nil. With no fault
-// injection armed, no ECC budget, and BER tracking off, a read's only effects
-// are its memoized per-size cost and the counters — the fast loop below
-// charges exactly those, in the same order, per run of equal-size spans,
-// without touching the wear arrays (blockRange's range is only consumed by
-// the BER scan and the error text, and the fast loop re-checks the same
-// bounds). Caller holds d.mu.
-func (d *Device) readSpansLocked(spans []Span, results []Result, acc *units.Energy) (int, error) {
-	if !d.readInjecting && d.maxBER == 0 && !d.trackBER {
+	if !d.readInjecting && d.maxBER == 0 {
 		capacity := d.spec.Capacity
 		for i := 0; i < len(spans); {
 			size := spans[i].Size
 			if size == 0 || spans[i].Addr+size > capacity {
 				// Rare: surface blockRange's exact error with the slow path's
 				// partial charge (spans before i are charged, i is not).
-				if results != nil {
-					results[i] = Result{}
-				}
 				_, _, err := d.blockRange(spans[i].Addr, size)
-				return i, err
+				return i, lat, err
 			}
 			j := i + 1
 			for j < len(spans) && spans[j].Size == size && spans[j].Addr+size <= capacity {
 				j++
 			}
-			lat, e := d.readCostLocked(size)
-			for k := i; results != nil && k < j; k++ {
-				results[k] = Result{Latency: lat, Energy: e}
-			}
+			l, e := d.readCostLocked(size)
+			lat += time.Duration(j-i) * l
 			d.chargeRunLocked(SizeRun{Size: size, N: j - i}, e, acc)
 			i = j
 		}
-		return len(spans), nil
+		return len(spans), lat, nil
 	}
 	for i, sp := range spans {
 		first, last, err := d.blockRange(sp.Addr, sp.Size)
 		if err != nil {
-			if results != nil {
-				results[i] = Result{}
-			}
-			return i, err
+			return i, lat, err
 		}
 		res, err := d.readLocked(sp.Addr, sp.Size, first, last)
-		if results != nil {
-			results[i] = res
-		}
 		if err != nil {
-			return i, err
+			return i, lat, err
 		}
+		lat += res.Latency
 		if acc != nil {
 			*acc += res.Energy
 		}
 	}
-	return len(spans), nil
+	return len(spans), lat, nil
 }
 
 // SizeRun is N consecutive reads of Size bytes each.
@@ -437,15 +390,15 @@ type SizeRun struct {
 	N    int
 }
 
-// ReadRunsQuiet charges runs exactly as ReadSpansQuiet's fast path charges
-// spans of those sizes in order — counters, read energy and *acc bitwise
-// equal — in O(1) per run; end is the spans' largest end. With an injector
-// or ECC budget armed, BER tracking on, a run of zero size or negative count,
-// or end beyond capacity it charges nothing and returns false.
+// ReadRunsQuiet charges runs exactly as ReadSpans' fast path charges spans of
+// those sizes in order — counters, read energy and *acc bitwise equal — in
+// O(1) per run; end is the spans' largest end. With an injector or ECC budget
+// armed, a run of zero size or negative count, or end beyond capacity it
+// charges nothing and returns false.
 func (d *Device) ReadRunsQuiet(runs []SizeRun, end units.Bytes, acc *units.Energy) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.readInjecting || d.maxBER > 0 || d.trackBER || end > d.spec.Capacity {
+	if d.readInjecting || d.maxBER > 0 || end > d.spec.Capacity {
 		return false
 	}
 	for _, r := range runs {
@@ -538,10 +491,10 @@ func (d *Device) readLocked(addr, size units.Bytes, first, last int) (Result, er
 	d.energy.Read += e
 	d.reads++
 	d.readBytes += size
-	// The worst-BER scan is the read path's dominant cost; it only matters
-	// when an ECC budget gates the read or the caller consumes Result.RawBER.
+	// The worst-BER scan is the read path's dominant cost; it runs only when
+	// an ECC budget gates the read.
 	var worst float64
-	if d.maxBER > 0 || d.trackBER {
+	if d.maxBER > 0 {
 		worst = d.worstBERLocked(first, last)
 	}
 	res := Result{Latency: lat, Energy: e, RawBER: worst}

@@ -105,6 +105,9 @@ func TestWearSpansBlocks(t *testing.T) {
 
 func TestBERGrowsWithAgeOnManagedDevice(t *testing.T) {
 	d := newTestDevice(t, MRMSpec(cellphys.RRAM, time.Hour))
+	// Reads report RawBER only under an ECC budget; this one (a raw BER near
+	// 1.3e-3) is above anything the decay term reaches, so no read fails.
+	d.SetFaults(FaultConfig{Code: ecc.RSSpec(255, 223), UBERTarget: 1e-12})
 	blk := d.Spec().BlockSize
 	if _, err := d.WriteAt(0, blk); err != nil {
 		t.Fatal(err)

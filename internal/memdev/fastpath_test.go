@@ -1,6 +1,7 @@
 package memdev
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -30,6 +31,19 @@ func worstBERBrute(d *Device, addr, size units.Bytes) float64 {
 		}
 	}
 	return worst
+}
+
+// worstBER runs the read path's pruned worst-BER scan over [addr,
+// addr+size) — what a read under an ECC budget evaluates — without the read.
+func worstBER(t *testing.T, d *Device, addr, size units.Bytes) float64 {
+	t.Helper()
+	first, last, err := d.blockRange(addr, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.worstBERLocked(first, last)
 }
 
 // berTestDevice builds a device with several hundred wear blocks (2 MiB
@@ -64,13 +78,9 @@ func TestWorstBERPrunedMatchesBruteForce(t *testing.T) {
 		addr := units.Bytes(rng.Int63n(int64(cap)))
 		size := 1 + units.Bytes(rng.Int63n(int64(cap-addr)))
 		want := worstBERBrute(d, addr, size)
-		res, err := d.ReadAt(addr, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.RawBER != want {
+		if got := worstBER(t, d, addr, size); got != want {
 			t.Fatalf("read %d [%d,%d): pruned RawBER %.17g != brute-force %.17g",
-				i, addr, addr+size, res.RawBER, want)
+				i, addr, addr+size, got, want)
 		}
 		// Interleave writes so aggregates keep changing under the reads.
 		if i%7 == 0 {
@@ -115,13 +125,9 @@ func TestReadStraddlesBlockAndSuperblockBoundaries(t *testing.T) {
 	}
 	for _, c := range cases {
 		want := worstBERBrute(d, c.addr, c.size)
-		res, err := d.ReadAt(c.addr, c.size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.RawBER != want {
-			t.Errorf("ReadAt[%d,%d): RawBER %.17g != brute-force %.17g",
-				c.addr, c.addr+c.size, res.RawBER, want)
+		if got := worstBER(t, d, c.addr, c.size); got != want {
+			t.Errorf("scan [%d,%d): RawBER %.17g != brute-force %.17g",
+				c.addr, c.addr+c.size, got, want)
 		}
 	}
 }
@@ -229,36 +235,31 @@ func TestReadTightensMinLastWriteBound(t *testing.T) {
 	// ...and a full-superblock scan tightens it to the true minimum (still 0
 	// here — the second half was never written) while a later full write
 	// then raises it exactly.
-	if _, err := d.ReadAt(0, units.Bytes(superBlocks)*wb); err != nil {
-		t.Fatal(err)
-	}
+	worstBER(t, d, 0, units.Bytes(superBlocks)*wb)
 	if _, err := d.WriteAt(0, units.Bytes(superBlocks)*wb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadAt(0, units.Bytes(superBlocks)*wb); err != nil {
-		t.Fatal(err)
-	}
+	worstBER(t, d, 0, units.Bytes(superBlocks)*wb)
 	if got := d.sbMinLastWrite[0]; got != time.Hour {
 		t.Errorf("sbMinLastWrite[0] = %v after full write + scan, want %v", got, time.Hour)
 	}
 }
 
-// TestReadSpansMatchesSequentialReadAt drives two identical fault-armed
-// devices through the same logical reads — one call-by-call, one batched —
-// and requires identical costs, errors, fault events, and counters. This is
-// the contract that lets the cluster layer coalesce KV reads without
-// perturbing the e30 golden output.
-func TestReadSpansMatchesSequentialReadAt(t *testing.T) {
-	mk := func() *Device {
-		spec := HBM3E
-		spec.Capacity = 64 * units.MiB
-		d := newTestDevice(t, spec)
-		if _, err := d.WriteAt(0, spec.Capacity); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Advance(time.Hour); err != nil {
-			t.Fatal(err)
-		}
+// readSpansTwin builds a written, hour-old 64 MiB device: with armed, under
+// an ECC budget with transient and lapse injectors (the per-span path);
+// without, with nothing armed (the run-charged fast path).
+func readSpansTwin(t *testing.T, armed bool) *Device {
+	t.Helper()
+	spec := HBM3E
+	spec.Capacity = 64 * units.MiB
+	d := newTestDevice(t, spec)
+	if _, err := d.WriteAt(0, spec.Capacity); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Advance(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if armed {
 		d.SetFaults(FaultConfig{
 			Seed:          99,
 			Code:          ecc.RSSpec(255, 223),
@@ -266,51 +267,72 @@ func TestReadSpansMatchesSequentialReadAt(t *testing.T) {
 			TransientRate: 0.05,
 			LapseRate:     0.03,
 		})
-		return d
 	}
-	seq, bat := mk(), mk()
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 50; round++ {
-		n := 1 + rng.Intn(16)
-		spans := make([]Span, n)
-		for i := range spans {
-			addr := units.Bytes(rng.Int63n(int64(seq.spec.Capacity - 4096)))
-			spans[i] = Span{Addr: addr, Size: 1 + units.Bytes(rng.Int63n(4096))}
+	return d
+}
+
+// randomSpans draws 1–16 in-range spans; about half repeat the previous
+// span's size, so the fast path sees runs longer than one. Every seventh
+// round plants a span beyond capacity mid-batch.
+func randomSpans(rng *rand.Rand, capacity units.Bytes, round int) []Span {
+	spans := make([]Span, 1+rng.Intn(16))
+	for i := range spans {
+		size := 1 + units.Bytes(rng.Int63n(4096))
+		if i > 0 && rng.Intn(2) == 0 {
+			size = spans[i-1].Size
 		}
-		// Sequential reference: stop at first error.
-		seqResults := make([]Result, n)
-		seqDone, seqErr := n, error(nil)
-		for i, sp := range spans {
-			res, err := seq.ReadAt(sp.Addr, sp.Size)
-			seqResults[i] = res
-			if err != nil {
-				seqDone, seqErr = i, err
-				break
+		spans[i] = Span{Addr: units.Bytes(rng.Int63n(int64(capacity - 4096))), Size: size}
+	}
+	if round%7 == 3 {
+		spans[len(spans)/2] = Span{Addr: capacity, Size: 1}
+	}
+	return spans
+}
+
+// TestReadSpansMatchesSequentialReadAt drives twin devices through the same
+// logical reads — one call-by-call, one batched — and requires the same
+// completed count, error, total latency of the completed reads, counters and
+// device energy, on a fault-armed device and on an unarmed one, whose fast
+// path charges each run's latency as one product. This is the contract that
+// lets the cluster layer coalesce KV reads without perturbing the e30 golden
+// output.
+func TestReadSpansMatchesSequentialReadAt(t *testing.T) {
+	for _, armed := range []bool{true, false} {
+		seq, bat := readSpansTwin(t, armed), readSpansTwin(t, armed)
+		rng := rand.New(rand.NewSource(3))
+		runs := 0
+		for round := 0; round < 50; round++ {
+			spans := randomSpans(rng, seq.spec.Capacity, round)
+			// Sequential reference: stop at first error.
+			seqDone, seqErr, seqLat := len(spans), error(nil), time.Duration(0)
+			for i, sp := range spans {
+				if i > 0 && sp.Size == spans[i-1].Size {
+					runs++
+				}
+				res, err := seq.ReadAt(sp.Addr, sp.Size)
+				if err != nil {
+					seqDone, seqErr = i, err
+					break
+				}
+				seqLat += res.Latency
+			}
+			batDone, batLat, batErr := bat.ReadSpans(spans, nil)
+			if batDone != seqDone || batLat != seqLat {
+				t.Fatalf("armed=%v round %d: ReadSpans (%d, %v), sequential (%d, %v)", armed, round, batDone, batLat, seqDone, seqLat)
+			}
+			if (batErr == nil) != (seqErr == nil) ||
+				(batErr != nil && batErr.Error() != seqErr.Error()) {
+				t.Fatalf("armed=%v round %d: ReadSpans err %v, sequential %v", armed, round, batErr, seqErr)
+			}
+			if gs, gb := seq.Stats(), bat.Stats(); gs != gb {
+				t.Fatalf("armed=%v round %d: stats diverged: %+v != %+v", armed, round, gs, gb)
+			}
+			if es, eb := seq.Energy(), bat.Energy(); es != eb {
+				t.Fatalf("armed=%v round %d: energy diverged: %+v != %+v", armed, round, es, eb)
 			}
 		}
-		batResults := make([]Result, n)
-		batDone, batErr := bat.ReadSpans(spans, batResults)
-		if batDone != seqDone {
-			t.Fatalf("round %d: ReadSpans done %d, sequential %d", round, batDone, seqDone)
-		}
-		if (batErr == nil) != (seqErr == nil) ||
-			(batErr != nil && batErr.Error() != seqErr.Error()) {
-			t.Fatalf("round %d: ReadSpans err %v, sequential %v", round, batErr, seqErr)
-		}
-		upto := seqDone
-		if seqErr != nil {
-			upto++ // the failing read's cost is reported too
-		}
-		for i := 0; i < upto; i++ {
-			if batResults[i] != seqResults[i] {
-				t.Fatalf("round %d span %d: %+v != %+v", round, i, batResults[i], seqResults[i])
-			}
-		}
-		if gs, gb := seq.Stats(), bat.Stats(); gs != gb {
-			t.Fatalf("round %d: stats diverged: %+v != %+v", round, gs, gb)
-		}
-		if es, eb := seq.Energy(), bat.Energy(); es != eb {
-			t.Fatalf("round %d: energy diverged: %+v != %+v", round, es, eb)
+		if runs == 0 {
+			t.Fatalf("armed=%v: no two adjacent spans share a size; runs are untested", armed)
 		}
 	}
 }
@@ -322,84 +344,64 @@ func TestReadSpansValidation(t *testing.T) {
 	if _, err := d.WriteAt(0, spec.Capacity); err != nil {
 		t.Fatal(err)
 	}
-	// Short results slice is rejected outright.
-	if _, err := d.ReadSpans(make([]Span, 2), make([]Result, 1)); err == nil {
-		t.Fatal("want error for short results slice")
-	}
 	// A bad span mid-batch charges the prior spans and stops.
 	spans := []Span{{0, 1024}, {0, spec.Capacity + 1}, {0, 1024}}
-	results := make([]Result, 3)
-	done, err := d.ReadSpans(spans, results)
+	done, lat, err := d.ReadSpans(spans, nil)
 	if done != 1 || err == nil {
 		t.Fatalf("done = %d, err = %v; want 1, out-of-bounds error", done, err)
+	}
+	if want := spec.ReadLatency + spec.ReadBW.Time(1024); lat != want {
+		t.Fatalf("latency %v; want the one completed read's %v", lat, want)
 	}
 	if st := d.Stats(); st.Reads != 1 || st.ReadBytes != 1024 {
 		t.Fatalf("stats after partial batch: %+v; want 1 read of 1024 bytes", st)
 	}
 }
 
-// TestReadSpansQuietAccumulatesEnergy pins ReadSpansQuiet's energy
-// accumulator against the loop a caller would run over ReadSpans' results:
-// twin devices read the same batches, one through ReadSpans summing
-// results[:done].Energy, one through ReadSpansQuiet(spans, &acc). The sums
-// must be bitwise equal — the failing span excluded — on the fault-armed
-// path and on the fast path (faults off, BER scan off), including a span
-// beyond capacity mid-batch.
+// TestReadSpansQuietAccumulatesEnergy pins ReadSpans' energy accumulator
+// against the loop a caller would run over ReadAt's results: twin devices
+// read the same batches, one call by call summing each completed read's
+// Energy, one through ReadSpans(spans, &acc). The sums must be bitwise equal
+// — the failing span excluded — on the fault-armed path and on the fast path
+// (nothing armed), including a span beyond capacity mid-batch.
 func TestReadSpansQuietAccumulatesEnergy(t *testing.T) {
 	for _, armed := range []bool{true, false} {
-		mk := func() *Device {
-			spec := HBM3E
-			spec.Capacity = 64 * units.MiB
-			d := newTestDevice(t, spec)
-			if _, err := d.WriteAt(0, spec.Capacity); err != nil {
-				t.Fatal(err)
-			}
-			if armed {
-				d.SetFaults(FaultConfig{Seed: 7, Code: ecc.RSSpec(255, 223), UBERTarget: 1e-18, TransientRate: 0.05})
-			} else {
-				d.SetBERTracking(false)
-			}
-			return d
-		}
-		loud, quiet := mk(), mk()
+		loop, batch := readSpansTwin(t, armed), readSpansTwin(t, armed)
 		rng := rand.New(rand.NewSource(5))
-		accLoud, accQuiet := units.Energy(0.25), units.Energy(0.25)
+		accLoop, accBatch := units.Energy(0.25), units.Energy(0.25)
 		fails := 0
 		for round := 0; round < 50; round++ {
-			spans := make([]Span, 1+rng.Intn(16))
-			for i := range spans {
-				addr := units.Bytes(rng.Int63n(int64(loud.spec.Capacity - 4096)))
-				spans[i] = Span{Addr: addr, Size: 1 + units.Bytes(rng.Int63n(4096))}
+			spans := randomSpans(rng, loop.spec.Capacity, round)
+			ld, lerr := len(spans), error(nil)
+			for i, sp := range spans {
+				res, err := loop.ReadAt(sp.Addr, sp.Size)
+				if err != nil {
+					ld, lerr = i, err
+					break
+				}
+				accLoop += res.Energy
 			}
-			if round%7 == 3 {
-				spans[len(spans)/2] = Span{Addr: loud.spec.Capacity, Size: 1}
-			}
-			results := make([]Result, len(spans))
-			ld, lerr := loud.ReadSpans(spans, results)
-			for _, r := range results[:ld] {
-				accLoud += r.Energy
-			}
-			qd, qerr := quiet.ReadSpansQuiet(spans, &accQuiet)
-			if qd != ld || (qerr == nil) != (lerr == nil) || (qerr != nil && qerr.Error() != lerr.Error()) {
-				t.Fatalf("armed=%v round %d: quiet (%d, %v), loud (%d, %v)", armed, round, qd, qerr, ld, lerr)
+			bd, _, berr := batch.ReadSpans(spans, &accBatch)
+			if bd != ld || (berr == nil) != (lerr == nil) || (berr != nil && berr.Error() != lerr.Error()) {
+				t.Fatalf("armed=%v round %d: ReadSpans (%d, %v), ReadAt loop (%d, %v)", armed, round, bd, berr, ld, lerr)
 			}
 			if lerr != nil {
 				fails++
 			}
-			if accQuiet != accLoud {
-				t.Fatalf("armed=%v round %d: accumulated %v, results sum %v", armed, round, accQuiet, accLoud)
+			if math.Float64bits(float64(accBatch)) != math.Float64bits(float64(accLoop)) {
+				t.Fatalf("armed=%v round %d: accumulated %v, ReadAt loop sum %v", armed, round, accBatch, accLoop)
 			}
-			if sl, sq := loud.Stats(), quiet.Stats(); sl != sq {
-				t.Fatalf("armed=%v round %d: stats diverged: %+v != %+v", armed, round, sl, sq)
+			if sl, sb := loop.Stats(), batch.Stats(); sl != sb {
+				t.Fatalf("armed=%v round %d: stats diverged: %+v != %+v", armed, round, sl, sb)
 			}
-			if el, eq := loud.Energy(), quiet.Energy(); el != eq {
-				t.Fatalf("armed=%v round %d: energy diverged: %+v != %+v", armed, round, el, eq)
+			if el, eb := loop.Energy(), batch.Energy(); el != eb {
+				t.Fatalf("armed=%v round %d: energy diverged: %+v != %+v", armed, round, el, eb)
 			}
 		}
 		if fails == 0 {
 			t.Fatalf("armed=%v: no batch failed; the failing-span arm is untested", armed)
 		}
-		if _, err := quiet.ReadSpansQuiet([]Span{{0, 1024}}, nil); err != nil && !armed {
+		if _, _, err := batch.ReadSpans([]Span{{0, 1024}}, nil); err != nil && !armed {
 			t.Fatalf("nil accumulator: %v", err)
 		}
 	}

@@ -117,7 +117,6 @@ func runsTestDevice(t *testing.T) *Device {
 	if _, err := d.WriteAt(0, spec.Capacity); err != nil {
 		t.Fatal(err)
 	}
-	d.SetBERTracking(false)
 	return d
 }
 
@@ -134,8 +133,8 @@ func expand(runs []SizeRun) ([]Span, units.Bytes) {
 	return spans, end
 }
 
-// TestReadRunsQuietMatchesSpans pins ReadRunsQuiet against ReadSpansQuiet
-// over the expanded spans, and both against a ReadAt loop summing each
+// TestReadRunsQuietMatchesSpans pins ReadRunsQuiet against ReadSpans over
+// the expanded spans, and both against a ReadAt loop summing each
 // read's energy, on triplet devices: stats, device energy and the caller's
 // accumulator bitwise equal, across random runs (merged and split runs of
 // one size included) and a nil accumulator.
@@ -160,8 +159,8 @@ func TestReadRunsQuietMatchesSpans(t *testing.T) {
 		if !runs.ReadRunsQuiet(rs, end, acc) {
 			t.Fatalf("round %d: ReadRunsQuiet declined quiet runs %v", round, rs)
 		}
-		if done, err := spans.ReadSpansQuiet(sp, accS); err != nil || done != len(sp) {
-			t.Fatalf("round %d: ReadSpansQuiet = (%d, %v)", round, done, err)
+		if done, _, err := spans.ReadSpans(sp, accS); err != nil || done != len(sp) {
+			t.Fatalf("round %d: ReadSpans = (%d, %v)", round, done, err)
 		}
 		for _, s := range sp {
 			res, err := loop.ReadAt(s.Addr, s.Size)
@@ -185,8 +184,8 @@ func TestReadRunsQuietMatchesSpans(t *testing.T) {
 }
 
 // TestReadRunsQuietDeclines pins the cases in which ReadRunsQuiet must
-// return false and change nothing: an armed injector, an ECC budget, BER
-// tracking, an end beyond capacity, and a zero-size run.
+// return false and change nothing: an armed injector, an ECC budget, an end
+// beyond capacity, and a zero-size run.
 func TestReadRunsQuietDeclines(t *testing.T) {
 	runs := []SizeRun{{Size: 4 * units.KiB, N: 8}}
 	cases := []struct {
@@ -198,7 +197,6 @@ func TestReadRunsQuietDeclines(t *testing.T) {
 		{"transient injector", func(d *Device) { d.SetFaults(FaultConfig{Seed: 1, TransientRate: 0.01}) }, runs, units.MiB},
 		{"lapse injector", func(d *Device) { d.SetFaults(FaultConfig{Seed: 1, LapseRate: 0.01}) }, runs, units.MiB},
 		{"ECC budget", func(d *Device) { d.SetFaults(FaultConfig{Code: ecc.RSSpec(255, 223), UBERTarget: 1e-18}) }, runs, units.MiB},
-		{"BER tracking", func(d *Device) { d.SetBERTracking(true) }, runs, units.MiB},
 		{"end beyond capacity", func(*Device) {}, runs, 64*units.MiB + 1},
 		{"zero-size run", func(*Device) {}, []SizeRun{{Size: 4 * units.KiB, N: 1}, {Size: 0, N: 3}}, units.MiB},
 	}

@@ -15,7 +15,7 @@ import (
 // weights and 64 KV pages of 8 MiB, all of which land on the MRM tier. The
 // plan reads the weights and every page, as core's BenchmarkMRMGetRefs
 // does, so the difference between the two is the manager's own overhead.
-// The BER scan is off, as the serving simulator runs it.
+// No ECC budget is armed, so the BER scan is off, as in the serving simulator.
 func BenchmarkGetPlanned(b *testing.B) {
 	spec := memdev.HBM3E
 	spec.Capacity = 24 * units.GiB
@@ -30,7 +30,6 @@ func BenchmarkGetPlanned(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mr.SetBERTracking(false)
 	m, err := NewManager(RetentionAwarePolicy{}, hbm, NewMRMTier("mrm", mr))
 	if err != nil {
 		b.Fatal(err)
@@ -52,7 +51,7 @@ func BenchmarkGetPlanned(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		add(Meta{Kind: core.KindKVCache, Size: 8 * units.MiB, Lifetime: time.Hour, ReadHot: true})
 	}
-	if _, err := m.GetPlanned(&p); err != nil { // fills the span caches and scratch
+	if _, err := m.GetPlanned(&p); err != nil { // stamps the objects and fills the scratch
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -69,10 +69,11 @@ type Faultable interface {
 	SetFaults(memdev.FaultConfig)
 }
 
-// BERTunable is implemented by backends whose device exposes the read-path
-// BER-scan switch (memdev.Device.SetBERTracking). Callers that never consume
-// raw-BER results (the serving simulator) turn the scan off; fault behavior
-// is unchanged because an armed ECC budget forces the scan regardless.
+// BERTunable is retired: no backend implements it. The read path's BER scan
+// now runs exactly when an ECC budget is armed, so there is no switch to
+// forward. The type stays only because the benchmark module's decorator
+// parity test still names it; parity holds, as neither a bare backend nor
+// its decorator implements it. Delete it with that reference.
 type BERTunable interface {
 	SetBERTracking(on bool)
 }
@@ -299,7 +300,7 @@ func (d *DeviceTier) GetBatch(handles []uint64) (int, error) {
 		if !ok {
 			// A sequential caller has read the earlier handles before failing
 			// this lookup; a device error among those takes precedence.
-			done, derr := d.dev.ReadSpansQuiet(d.spanBuf, nil)
+			done, _, derr := d.dev.ReadSpans(d.spanBuf, nil)
 			if derr != nil {
 				return done, derr
 			}
@@ -307,7 +308,8 @@ func (d *DeviceTier) GetBatch(handles []uint64) (int, error) {
 		}
 		d.spanBuf = append(d.spanBuf, memdev.Span{Addr: sp.addr, Size: sp.size})
 	}
-	return d.dev.ReadSpansQuiet(d.spanBuf, nil)
+	done, _, err := d.dev.ReadSpans(d.spanBuf, nil)
+	return done, err
 }
 
 // ResolveSpan resolves a handle to its device span for planned reads (see
@@ -323,11 +325,11 @@ func (d *DeviceTier) ResolveSpan(handle uint64) (memdev.Span, error) {
 
 // GetSpans reads the resolved spans as one vectored device access — the same
 // span sequence GetBatch issues after its lookups, so counters, energy, and
-// fault-stream positions are identical. The per-span Results are never
-// consumed on this path (the simulator takes read costs from the manager's
-// per-tier totals), so it reads through ReadSpansQuiet.
+// fault-stream positions are identical. The simulator takes read costs from
+// the manager's per-tier totals, so the span latencies are dropped.
 func (d *DeviceTier) GetSpans(spans []memdev.Span) (int, error) {
-	return d.dev.ReadSpansQuiet(spans, nil)
+	done, _, err := d.dev.ReadSpans(spans, nil)
+	return done, err
 }
 
 // Delete frees an object, coalescing adjacent free spans.
@@ -356,9 +358,6 @@ func (d *DeviceTier) Delete(handle uint64) error {
 
 // SetFaults arms fault injection on the underlying device.
 func (d *DeviceTier) SetFaults(cfg memdev.FaultConfig) { d.dev.SetFaults(cfg) }
-
-// SetBERTracking forwards the BER-scan switch to the device.
-func (d *DeviceTier) SetBERTracking(on bool) { d.dev.SetBERTracking(on) }
 
 // Tick advances device time (charging static + refresh energy).
 func (d *DeviceTier) Tick(dt time.Duration) error { return d.dev.Advance(dt) }
@@ -511,9 +510,6 @@ func (t *MRMTier) Delete(handle uint64) error {
 
 // SetFaults arms fault injection on the MRM's device.
 func (t *MRMTier) SetFaults(cfg memdev.FaultConfig) { t.mrm.SetFaults(cfg) }
-
-// SetBERTracking forwards the BER-scan switch to the MRM's device.
-func (t *MRMTier) SetBERTracking(on bool) { t.mrm.SetBERTracking(on) }
 
 // Tick advances the MRM control plane.
 func (t *MRMTier) Tick(dt time.Duration) error { return t.mrm.Tick(dt) }
