@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -102,25 +103,40 @@ func BenchmarkMRMPutBatch(b *testing.B) {
 // BenchmarkMRMGetRefs measures one decode step's planned MRM read on a
 // loaded serving node: the weights ref (id 0) plus its 64 KV-page refs
 // (ids 1–64) per op. No ECC budget is armed, so the BER scan is off, as in
-// the serving simulator.
+// the serving simulator. /cached keeps the refs between calls, as a
+// ReadPlan does, so every single-run ref is charged from its cached run;
+// /revalidate copies freshly resolved refs over them before each call, so
+// every ref goes through its object and is written back — a serving node
+// whose finishing requests move the ref key every few steps.
 func BenchmarkMRMGetRefs(b *testing.B) {
 	m := newServingMRM(b)
-	refs := make([]ObjRef, 65)
-	for i := range refs {
+	fresh := make([]ObjRef, 65)
+	for i := range fresh {
 		r, err := m.ResolveRef(ObjectID(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		refs[i] = r
+		fresh[i] = r
 	}
+	refs := slices.Clone(fresh)
 	if _, err := m.GetRefs(refs); err != nil { // stamps the objects and fills the scratch
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n, err := m.GetRefs(refs); err != nil || n != len(refs) {
-			b.Fatalf("GetRefs read %d of %d: %v", n, len(refs), err)
+	for _, revalidate := range []bool{false, true} {
+		name := "cached"
+		if revalidate {
+			name = "revalidate"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if revalidate {
+					copy(refs, fresh)
+				}
+				if n, err := m.GetRefs(refs); err != nil || n != len(refs) {
+					b.Fatalf("GetRefs read %d of %d: %v", n, len(refs), err)
+				}
+			}
+		})
 	}
 }

@@ -241,6 +241,11 @@ type MRM struct {
 	energy    EnergyAccount
 	stats     Stats
 
+	// gen counts dropExtents calls, the only way a live object's extents
+	// change or go; with the zoned epoch it makes the key under which refs
+	// cache their runs (see refKey).
+	gen uint64
+
 	// Scratch buffers for Get/GetRefs, reused across calls so the read hot
 	// path allocates nothing in steady state.
 	spanBuf []memdev.Span
@@ -778,34 +783,49 @@ func (o *object) liveErr() error {
 	return nil
 }
 
-// ObjRef is an opaque reference to a resolved object, for callers that read
-// the same objects every step (the serving simulator's KV plans) and want to
+// ObjRef is a reference to a resolved object, for callers that read the
+// same objects every step (the serving simulator's KV plans) and want to
 // skip the per-read id lookup. Reads through a ref observe expiry and
-// deletion exactly like reads by id.
-type ObjRef *object
+// deletion exactly like reads by id. GetRefs caches a single-run object's
+// validated run and size in the ref itself, stamped with the key it held
+// (see refKey), so a caller that keeps its refs between reads lets the
+// common case skip the object; a copy of a ref is as good as the original.
+type ObjRef struct {
+	obj  *object
+	key  uint64         // refKey when run and size were cached; 0: not cached
+	run  memdev.SizeRun // the object's device reads: run.N spans of run.Size
+	size units.Bytes    // the object's size, what Stats.BytesRead adds
+}
 
 // ResolveRef resolves id for repeated planned reads. The object must be
 // readable now (same errors as Get).
 func (m *MRM) ResolveRef(id ObjectID) (ObjRef, error) {
 	obj, err := m.liveObject(id)
 	if err != nil {
-		return nil, err
+		return ObjRef{}, err
 	}
-	return ObjRef(obj), nil
+	return ObjRef{obj: obj}, nil
 }
+
+// refKey is the key under which GetRefs caches runs in refs now. The zoned
+// epoch moves whenever validated spans can stop validating and gen whenever
+// an object's extents change or go; both only grow, so every such event
+// yields a key never seen before, and the +1 keeps 0 free for "not cached".
+func (m *MRM) refKey() uint64 { return m.zoned.Epoch() + m.gen + 1 }
 
 // GetRefs reads the referenced objects exactly as if Get were called once per
 // object in order, stopping at the first error, but skips the id lookups,
 // which the refs carry pre-resolved. Its common case charges the objects'
-// run summaries (getRefsQuiet); otherwise it reads each object in turn. It
-// returns the number of objects read in full and, when that is < len(refs),
-// the error the first-failing Get would have returned.
+// runs (getRefsQuiet), and may rewrite the refs' cached fields in place;
+// otherwise it reads each object in turn. It returns the number of objects
+// read in full and, when that is < len(refs), the error the first-failing
+// Get would have returned.
 func (m *MRM) GetRefs(refs []ObjRef) (int, error) {
 	if m.getRefsQuiet(refs) {
 		return len(refs), nil
 	}
-	for i, ref := range refs {
-		if _, err := m.read((*object)(ref)); err != nil {
+	for i := range refs {
+		if _, err := m.read(refs[i].obj); err != nil {
 			return i, err
 		}
 	}
@@ -813,31 +833,67 @@ func (m *MRM) GetRefs(refs []ObjRef) (int, error) {
 }
 
 // getRefsQuiet is GetRefs' common case: with every ref live and validated,
-// it charges their merged run summaries in one ReadRunsQuiet call, or else
-// charges nothing and reports false. A summary is revalidated only when the
-// zoned epoch has moved, and rebuilt whenever its object's extents change, so
-// a refresh that moved an object between calls is observed.
+// it charges their merged runs in one ReadRunsQuiet call, or else charges
+// nothing and reports false. A ref cached under the current key is charged
+// from its own fields without touching the object. Any other ref goes
+// through its object, whose run summary is revalidated only when the zoned
+// epoch has moved and rebuilt whenever its extents change, and a single-run
+// object's run is written back into the ref. Only objects validated here
+// bound the capacity check: a cached run was validated into zone ranges,
+// which lie inside the device.
 func (m *MRM) getRefsQuiet(refs []ObjRef) bool {
-	epoch := m.zoned.Epoch()
+	epoch, key := m.zoned.Epoch(), m.refKey()
 	runs := m.runBuf[:0]
+	var cur memdev.SizeRun // the run being merged, appended when the size changes
 	var end, size units.Bytes
-	for _, ref := range refs {
-		obj := (*object)(ref)
-		// A stamp implies liveness: dropExtents clears it before death.
-		if obj.spanEpoch != epoch {
-			if obj.state != objLive {
+	for i := 0; i < len(refs); {
+		// The common case: a stretch of refs cached under the current key
+		// whose runs extend cur, read from the refs alone.
+		for i < len(refs) && refs[i].key == key && refs[i].run.Size == cur.Size {
+			cur.N += refs[i].run.N
+			size += refs[i].size
+			i++
+		}
+		if i == len(refs) {
+			break
+		}
+		r := &refs[i]
+		i++
+		run, sz := r.run, r.size
+		if r.key != key {
+			obj := r.obj
+			// A stamp implies liveness: dropExtents clears it before death.
+			if obj.spanEpoch != epoch {
+				if obj.state != objLive {
+					return false
+				}
+				if _, err := m.spansOf(obj); err != nil {
+					return false
+				}
+			}
+			if obj.run0.N == 0 {
+				// No extents (a failed refresh's residue): read leaves it to
+				// ReadSpans, and the ref is never cached.
 				return false
 			}
-			if _, err := m.spansOf(obj); err != nil {
-				return false
+			end = max(end, obj.spanEnd)
+			if len(obj.runs) > 0 {
+				// Several runs (weights straddling zones): merged, not cached.
+				runs, cur = mergeRun(runs, cur, obj.run0)
+				for _, rest := range obj.runs {
+					runs, cur = mergeRun(runs, cur, rest)
+				}
+				size += obj.size
+				continue
 			}
+			run, sz = obj.run0, obj.size
+			r.key, r.run, r.size = key, run, sz
 		}
-		runs = appendRun(runs, obj.run0)
-		for _, r := range obj.runs {
-			runs = appendRun(runs, r)
-		}
-		end = max(end, obj.spanEnd)
-		size += obj.size
+		runs, cur = mergeRun(runs, cur, run)
+		size += sz
+	}
+	if cur.N != 0 {
+		runs = append(runs, cur)
 	}
 	m.runBuf = runs
 	if !m.zoned.Device().ReadRunsQuiet(runs, end, &m.energy.Read) {
@@ -846,6 +902,19 @@ func (m *MRM) getRefsQuiet(refs []ObjRef) bool {
 	m.stats.Gets += int64(len(refs))
 	m.stats.BytesRead += size
 	return true
+}
+
+// mergeRun folds r into cur, the run being merged, first appending cur to
+// runs when r's size differs; a cur of no spans is never appended.
+func mergeRun(runs []memdev.SizeRun, cur, r memdev.SizeRun) ([]memdev.SizeRun, memdev.SizeRun) {
+	if r.Size == cur.Size {
+		cur.N += r.N
+		return runs, cur
+	}
+	if cur.N != 0 {
+		runs = append(runs, cur)
+	}
+	return runs, r
 }
 
 // appendRun appends r to runs, merging it into the last run of its size.
@@ -905,7 +974,7 @@ func (m *MRM) Delete(id ObjectID) error {
 }
 
 // dropExtents removes the object from zone membership and resets zones that
-// become dead. Open zones are never reset mid-fill.
+// become dead, and moves the ref key. Open zones are never reset mid-fill.
 func (m *MRM) dropExtents(obj *object) {
 	for _, ext := range obj.extents {
 		zm := &m.zones[ext.zone]
@@ -916,6 +985,7 @@ func (m *MRM) dropExtents(obj *object) {
 		}
 	}
 	obj.extents, obj.runs, obj.run0, obj.spanEnd, obj.spanEpoch = nil, nil, memdev.SizeRun{}, 0, 0
+	m.gen++
 }
 
 // Tick advances simulated time, performing due housekeeping: refreshing

@@ -79,12 +79,13 @@ func sameEnergy(a, b EnergyAccount) bool {
 // input. Both twins see the same puts, batched puts, deletes, Ticks (which
 // expire and reset zones and refresh objects), compactions and fault
 // arming; reads go through Get and GetRefs on one twin and through
-// oracleGet on the other, over refs held across all of those ops. After
-// every op the twins must agree on the read's count and error text, on
-// Stats, on the energy account (bitwise), on the device counters and on
-// CheckInvariants' verdict — which on m also covers the epoch stamps and
-// run summaries, so an object left stamped across a change that should
-// have invalidated it shows up as a disagreement.
+// oracleGet on the other, over refs held across all of those ops with the
+// runs GetRefs caches in them kept. After every op the twins must agree on
+// the read's count and error text, on Stats, on the energy account
+// (bitwise), on the device counters and on CheckInvariants' verdict — which
+// on m also covers the epoch stamps and run summaries, so an object left
+// stamped, or a ref left cached, across a change that should have
+// invalidated it shows up as a disagreement.
 //
 // The first byte seeds the fault streams; each op is then three bytes
 // (op, a, b), and a batched put reads one more byte per object. Op errors
@@ -99,9 +100,10 @@ func FuzzMRMReads(f *testing.F) {
 		m, o := newFuzzMRM(t), newFuzzMRM(t) // m reads through Get/GetRefs, o through the oracle
 		size := func(b byte) units.Bytes { return units.Bytes(1+int(b)) * 16 * units.KiB }
 		id := func(a byte) ObjectID { return ObjectID(int(a) % (int(m.nextID) + 2)) }
-		type held struct{ m, o ObjRef }
-		var refs []held
-		var mRefs []ObjRef
+		// Refs held across ops, m's and o's in step. mRefs keeps GetRefs'
+		// write-backs, as a ReadPlan does, so cached refs meet every later op.
+		var mRefs, oRefs, batch []ObjRef
+		var picks []int
 		var sizes []units.Bytes
 		ids := make([]ObjectID, 4)
 		lats := make([]time.Duration, 4)
@@ -163,24 +165,27 @@ func FuzzMRMReads(f *testing.F) {
 					t.Fatalf("step %d: ResolveRef(%d): %v vs oracle %v", step, id(a), em, eo)
 				}
 				if em == nil {
-					refs = append(refs, held{rm, ro})
+					mRefs, oRefs = append(mRefs, rm), append(oRefs, ro)
 				}
 			case 7:
-				if len(refs) == 0 {
+				if len(mRefs) == 0 {
 					continue
 				}
-				mRefs = mRefs[:0]
+				batch, picks = batch[:0], picks[:0]
 				wantN, wantErr := 0, error(nil)
 				for k := 0; k < 1+int(b)%16; k++ {
-					h := refs[(int(a)+k*(1+int(b)/16))%len(refs)]
-					mRefs = append(mRefs, h.m)
+					h := (int(a) + k*(1+int(b)/16)) % len(mRefs)
+					batch, picks = append(batch, mRefs[h]), append(picks, h)
 					if wantErr == nil {
-						if _, wantErr = oracleGet(o, h.o); wantErr == nil {
+						if _, wantErr = oracleGet(o, oRefs[h].obj); wantErr == nil {
 							wantN++
 						}
 					}
 				}
-				n, err := m.GetRefs(mRefs)
+				n, err := m.GetRefs(batch)
+				for k, h := range picks {
+					mRefs[h] = batch[k]
+				}
 				if n != wantN || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 					t.Fatalf("step %d: GetRefs = (%d, %v), oracle (%d, %v)", step, n, err, wantN, wantErr)
 				}

@@ -396,7 +396,7 @@ func TestReadValidationPrecedence(t *testing.T) {
 			}
 			wantN, wantErr := 0, error(nil)
 			for _, r := range seqRefs {
-				if _, wantErr = oracleGet(seq, (*object)(r)); wantErr != nil {
+				if _, wantErr = oracleGet(seq, r.obj); wantErr != nil {
 					break
 				}
 				wantN++

@@ -268,7 +268,7 @@ func (d *Device) blockRange(addr, size units.Bytes) (first, last int, err error)
 	if size == 0 {
 		return 0, 0, fmt.Errorf("memdev: zero-size access")
 	}
-	if addr+size > d.spec.Capacity {
+	if size > d.spec.Capacity || addr > d.spec.Capacity-size { // addr+size may wrap
 		return 0, 0, fmt.Errorf("memdev: access [%d, %d) beyond capacity %v",
 			addr, addr+size, d.spec.Capacity)
 	}
@@ -349,15 +349,27 @@ func (d *Device) ReadSpans(spans []Span, acc *units.Energy) (done int, lat time.
 	if !d.readInjecting && d.maxBER == 0 {
 		capacity := d.spec.Capacity
 		for i := 0; i < len(spans); {
+			// A span of this run is in bounds iff its Addr <= limit.
 			size := spans[i].Size
-			if size == 0 || spans[i].Addr+size > capacity {
+			limit := capacity - size
+			if size == 0 || size > capacity || spans[i].Addr > limit {
 				// Rare: surface blockRange's exact error with the slow path's
 				// partial charge (spans before i are charged, i is not).
 				_, _, err := d.blockRange(spans[i].Addr, size)
 				return i, lat, err
 			}
+			// The run ends at the first span of another size or out of
+			// bounds: four spans per test while all four extend it, then
+			// one at a time to find the exact end.
 			j := i + 1
-			for j < len(spans) && spans[j].Size == size && spans[j].Addr+size <= capacity {
+			for ; j+4 <= len(spans); j += 4 {
+				s := spans[j : j+4 : j+4]
+				if s[0].Size != size || s[1].Size != size || s[2].Size != size || s[3].Size != size ||
+					s[0].Addr > limit || s[1].Addr > limit || s[2].Addr > limit || s[3].Addr > limit {
+					break
+				}
+			}
+			for j < len(spans) && spans[j].Size == size && spans[j].Addr <= limit {
 				j++
 			}
 			l, e := d.readCostLocked(size)

@@ -1,6 +1,7 @@
 package memdev
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -403,6 +404,69 @@ func TestReadSpansQuietAccumulatesEnergy(t *testing.T) {
 		}
 		if _, _, err := batch.ReadSpans([]Span{{0, 1024}}, nil); err != nil && !armed {
 			t.Fatalf("nil accumulator: %v", err)
+		}
+	}
+}
+
+// TestReadSpansRunEndsAtEveryPosition pins the fast loop's run scan, which
+// tests four spans at a time: a run of equal-size spans, starting at every
+// offset mod 4 behind a lead span of another size, ends at every position
+// mod 4 in each way a run can end — a span of another size, a span just
+// beyond capacity, and one whose end wraps past the top of the address
+// space — and the batch must match a ReadAt loop in completed count, error,
+// total latency, counters and energy.
+func TestReadSpansRunEndsAtEveryPosition(t *testing.T) {
+	const size = 4096
+	capacity := 64 * units.MiB
+	ends := []struct {
+		name string
+		span Span
+	}{
+		{"size change", Span{Addr: 0, Size: size + 1}},
+		{"beyond capacity", Span{Addr: capacity - size + 1, Size: size}},
+		{"wrapping", Span{Addr: ^units.Bytes(0) - size + 2, Size: size}},
+	}
+	for _, end := range ends {
+		for lead := 0; lead < 4; lead++ {
+			for n := 1; n <= 12; n++ {
+				var spans []Span
+				for i := 0; i < lead; i++ {
+					spans = append(spans, Span{Addr: units.Bytes(i) * 8192, Size: 2 * size})
+				}
+				for i := 0; i < n; i++ {
+					spans = append(spans, Span{Addr: units.Bytes(i) * size, Size: size})
+				}
+				// Enough in-bounds spans follow that the ending span can sit
+				// at any of the four places of a four-span test.
+				spans = append(spans, end.span)
+				for i := 0; i < 4; i++ {
+					spans = append(spans, Span{Addr: units.Bytes(i) * size, Size: size})
+				}
+				seq, bat := readSpansTwin(t, false), readSpansTwin(t, false)
+				seqDone, seqErr, seqLat := len(spans), error(nil), time.Duration(0)
+				for i, sp := range spans {
+					res, err := seq.ReadAt(sp.Addr, sp.Size)
+					if err != nil {
+						seqDone, seqErr = i, err
+						break
+					}
+					seqLat += res.Latency
+				}
+				batDone, batLat, batErr := bat.ReadSpans(spans, nil)
+				if batDone != seqDone || batLat != seqLat || fmt.Sprint(batErr) != fmt.Sprint(seqErr) {
+					t.Fatalf("%s, lead %d, run %d: ReadSpans (%d, %v, %v), ReadAt loop (%d, %v, %v)",
+						end.name, lead, n, batDone, batLat, batErr, seqDone, seqLat, seqErr)
+				}
+				if wantErr := end.name != "size change"; (seqErr != nil) != wantErr || (wantErr && seqDone != lead+n) {
+					t.Fatalf("%s, lead %d, run %d: ReadAt loop stopped at %d with %v", end.name, lead, n, seqDone, seqErr)
+				}
+				if gs, gb := seq.Stats(), bat.Stats(); gs != gb {
+					t.Fatalf("%s, lead %d, run %d: stats diverged: %+v != %+v", end.name, lead, n, gs, gb)
+				}
+				if es, eb := seq.Energy(), bat.Energy(); es != eb {
+					t.Fatalf("%s, lead %d, run %d: energy diverged: %+v != %+v", end.name, lead, n, es, eb)
+				}
+			}
 		}
 	}
 }

@@ -276,7 +276,9 @@ func (s *service) runBatch(n *node, batch []*call) {
 	}
 	s.reg.Gauge("mrmd_inflight").Add(float64(len(reqs)))
 	n.attempts = 1
-	_, err := n.sim.RunContext(s.runCtx, reqs)
+	// RunSegment, not RunContext: the daemon answers calls through OnDone
+	// and never reads the Result that RunContext's Harvest would build.
+	err := n.sim.RunSegment(s.runCtx, reqs, -1, false)
 	for err != nil {
 		if s.runCtx.Err() != nil {
 			// Drain deadline (or daemon teardown): answer what's left and
@@ -296,8 +298,8 @@ func (s *service) runBatch(n *node, batch []*call) {
 		}
 		n.attempts++
 		// Continue the interrupted batch: the sim holds its unfinished
-		// requests internally, so a Run with no new arrivals drains them.
-		_, err = n.sim.RunContext(s.runCtx, nil)
+		// requests internally, so a segment with no new arrivals drains them.
+		err = n.sim.RunSegment(s.runCtx, nil, -1, false)
 	}
 }
 

@@ -174,3 +174,92 @@ func TestNextHousekeepingMatchesMRM(t *testing.T) {
 		t.Fatalf("NextHousekeeping = (%v, %v), MRM reports (%v, %v)", at, ok, want, wok)
 	}
 }
+
+// plainTier hides its backend's resolved read path, so a plan reads it by
+// serial Gets.
+type plainTier struct{ Backend }
+
+// refRecorder forwards to an MRM tier and records every slice GetRefs is
+// handed.
+type refRecorder struct {
+	*MRMTier
+	calls [][]core.ObjRef
+}
+
+func (r *refRecorder) GetRefs(refs []core.ObjRef) (int, error) {
+	r.calls = append(r.calls, refs)
+	return r.MRMTier.GetRefs(refs)
+}
+
+// TestPlanTruncateThenAppend pins ReadPlan's one entry per object: a plan
+// truncated at every cut and grown back over the same ids must read like a
+// Get loop, keep exactly one span or ref per object that has one, and hand
+// GetRefs the plan's own refs, so the runs cached in them persist. The
+// first tier is a DeviceTier (span runs) or a tier read by serial Gets.
+func TestPlanTruncateThenAppend(t *testing.T) {
+	for _, plain := range []bool{false, true} {
+		mk := func() (*Manager, *refRecorder, []ObjectID) {
+			var hbm Backend = smallHBM(t, 4*units.MiB)
+			if plain {
+				hbm = plainTier{hbm}
+			}
+			rec := &refRecorder{MRMTier: smallMRMTier(t, units.GiB)}
+			m, err := NewManager(sizePolicy{}, hbm, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []ObjectID
+			// Small objects land on the first tier and big ones on the MRM
+			// tier: runs of 1, 2 and 3 objects of both kinds.
+			for _, size := range []units.Bytes{256, 8192, 8192, 256, 256, 8192, 256, 256, 256, 8192} {
+				id, _, err := m.Put(Meta{Kind: core.KindKVCache, Size: size * units.KiB, Lifetime: time.Hour})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			return m, rec, ids
+		}
+		seq, _, ids := mk()
+		pln, rec, _ := mk()
+		for cut := 0; cut <= len(ids); cut++ {
+			p := planOf(t, pln, ids)
+			p.Truncate(cut)
+			for _, id := range ids[cut:] {
+				if err := pln.PlanAppend(p, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var spans, refs int
+			for i := 0; i < p.Runs(); i++ {
+				tier, start, end := p.Run(i)
+				switch {
+				case tier == 1:
+					refs += end - start
+				case !plain:
+					spans += end - start
+				}
+			}
+			if len(p.spans) != spans || len(p.refs) != refs {
+				t.Fatalf("plain=%v cut %d: %d spans and %d refs for %d and %d objects", plain, cut, len(p.spans), len(p.refs), spans, refs)
+			}
+			rec.calls = rec.calls[:0]
+			seqDone, seqErr := getLoop(seq, ids)
+			plnDone, plnErr := pln.GetPlanned(p)
+			if plnDone != seqDone || plnErr != nil || seqErr != nil {
+				t.Fatalf("plain=%v cut %d: (%d, %v) != by-id (%d, %v)", plain, cut, plnDone, plnErr, seqDone, seqErr)
+			}
+			checkTwins(t, "after truncate and append", seq, pln)
+			off := 0
+			for _, got := range rec.calls {
+				if len(got) == 0 || &got[0] != &p.refs[off] {
+					t.Fatalf("plain=%v cut %d: GetRefs was not handed the plan's refs from %d", plain, cut, off)
+				}
+				off += len(got)
+			}
+			if off != len(p.refs) {
+				t.Fatalf("plain=%v cut %d: GetRefs read %d of the plan's %d refs", plain, cut, off, len(p.refs))
+			}
+		}
+	}
+}

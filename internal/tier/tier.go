@@ -103,7 +103,9 @@ type SpanGetter interface {
 // plane that relocates extents (MRMTier): the resolved reference is stable
 // across refresh-driven moves, and reads through it observe expiry exactly
 // like reads by handle. GetRefs carries BatchGetter's strict sequential
-// equivalence, minus the id lookups.
+// equivalence, minus the id lookups. GetRefs may rewrite the refs' cached
+// fields in place; a caller that keeps the slice between reads lets later
+// reads skip the objects (see core.ObjRef).
 type RefGetter interface {
 	ResolveRef(handle uint64) (core.ObjRef, error)
 	GetRefs(refs []core.ObjRef) (int, error)
@@ -858,17 +860,31 @@ func (m *Manager) Get(id ObjectID) (time.Duration, int, error) {
 	return lat, p.tier, nil
 }
 
+// planKind is how a ReadPlan run reads its objects.
+type planKind uint8
+
+const (
+	planGets  planKind = iota // serial Gets by handle
+	planSpans                 // GetSpans over resolved spans (SpanGetter)
+	planRefs                  // GetRefs over resolved refs (RefGetter)
+)
+
 // planRun is one run of consecutive same-tier objects within a ReadPlan.
 type planRun struct {
 	tier int
-	end  int // exclusive end index into the plan's parallel arrays
+	kind planKind
+	end  int // exclusive end index into handles
+	off  int // index of the run's first object in spans or refs, by kind
 }
 
 // ReadPlan caches the resolved read path of an append-only object list so a
 // caller that reads the same objects every step (the serving simulator's KV
 // pages) pays the id lookup and run grouping once, at append time, instead of
 // once per read. GetPlanned(p) performs exactly the device reads, fault
-// events, and per-tier accounting of a Get loop over the same ids.
+// events, and per-tier accounting of a Get loop over the same ids. An
+// object on a SpanGetter or RefGetter tier keeps one entry, a span or a ref;
+// a run's entries are contiguous, and GetPlanned hands GetRefs the plan's
+// own refs, so the runs it caches in them persist from step to step.
 //
 // Validity contract: a plan may only be executed while every member object is
 // still placed where it was appended. Deleting, forgetting, migrating, or
@@ -879,8 +895,8 @@ type planRun struct {
 type ReadPlan struct {
 	handles []uint64
 	sums    []units.Bytes // prefix sums: sums[i] = total size of objects [0, i)
-	spans   []memdev.Span // valid where the tier is a SpanGetter
-	refs    []core.ObjRef // valid where the tier is a RefGetter
+	spans   []memdev.Span // the span-kind runs' objects, in plan order
+	refs    []core.ObjRef // the ref-kind runs' objects, in plan order
 	runs    []planRun
 }
 
@@ -917,8 +933,6 @@ func (p *ReadPlan) Truncate(n int) {
 	}
 	p.handles = p.handles[:n]
 	p.sums = p.sums[:n+1]
-	p.spans = p.spans[:n]
-	p.refs = p.refs[:n]
 	for len(p.runs) > 0 {
 		last := len(p.runs) - 1
 		start := 0
@@ -934,6 +948,18 @@ func (p *ReadPlan) Truncate(n int) {
 		}
 		break
 	}
+	// The remaining runs of each kind end where that kind's entries end.
+	nSpans, nRefs, start := 0, 0, 0
+	for _, run := range p.runs {
+		switch run.kind {
+		case planSpans:
+			nSpans = run.off + run.end - start
+		case planRefs:
+			nRefs = run.off + run.end - start
+		}
+		start = run.end
+	}
+	p.spans, p.refs = p.spans[:nSpans], p.refs[:nRefs]
 }
 
 // PlanAppend resolves id once and appends it to the plan, extending the final
@@ -945,31 +971,32 @@ func (m *Manager) PlanAppend(p *ReadPlan, id ObjectID) error {
 	if !ok {
 		return fmt.Errorf("tier: no object %d", id)
 	}
-	var (
-		span memdev.Span
-		ref  core.ObjRef
-		err  error
-	)
+	kind, off := planGets, 0
 	switch b := m.tiers[pl.tier].(type) {
 	case SpanGetter:
-		span, err = b.ResolveSpan(pl.handle)
+		span, err := b.ResolveSpan(pl.handle)
+		if err != nil {
+			return err
+		}
+		kind, off = planSpans, len(p.spans)
+		p.spans = append(p.spans, span)
 	case RefGetter:
-		ref, err = b.ResolveRef(pl.handle)
-	}
-	if err != nil {
-		return err
+		ref, err := b.ResolveRef(pl.handle)
+		if err != nil {
+			return err
+		}
+		kind, off = planRefs, len(p.refs)
+		p.refs = append(p.refs, ref)
 	}
 	p.handles = append(p.handles, pl.handle)
 	if len(p.sums) == 0 {
 		p.sums = append(p.sums, 0)
 	}
 	p.sums = append(p.sums, p.sums[len(p.sums)-1]+pl.meta.Size)
-	p.spans = append(p.spans, span)
-	p.refs = append(p.refs, ref)
 	if n := len(p.runs); n > 0 && p.runs[n-1].tier == pl.tier {
 		p.runs[n-1].end = len(p.handles)
 	} else {
-		p.runs = append(p.runs, planRun{tier: pl.tier, end: len(p.handles)})
+		p.runs = append(p.runs, planRun{tier: pl.tier, kind: kind, end: len(p.handles), off: off})
 	}
 	return nil
 }
@@ -984,32 +1011,30 @@ func (m *Manager) PlanAppend(p *ReadPlan, id ObjectID) error {
 func (m *Manager) GetPlanned(p *ReadPlan) (int, error) {
 	done := 0
 	for _, run := range p.runs {
-		switch b := m.tiers[run.tier].(type) {
-		case SpanGetter:
-			n, err := b.GetSpans(p.spans[done:run.end])
-			// Prefix sums give the completed objects' total in O(1); integer
-			// addition makes it the exact per-object sum.
-			m.perTierReads[run.tier] += p.sums[done+n] - p.sums[done]
-			done += n
-			if err != nil {
-				return done, err
-			}
-		case RefGetter:
-			n, err := b.GetRefs(p.refs[done:run.end])
-			m.perTierReads[run.tier] += p.sums[done+n] - p.sums[done]
-			done += n
-			if err != nil {
-				return done, err
-			}
+		var (
+			n   int
+			err error
+		)
+		switch run.kind {
+		case planSpans:
+			n, err = m.tiers[run.tier].(SpanGetter).GetSpans(p.spans[run.off : run.off+run.end-done])
+		case planRefs:
+			n, err = m.tiers[run.tier].(RefGetter).GetRefs(p.refs[run.off : run.off+run.end-done])
 		default:
 			// No resolved fast path: serial Gets.
-			for i := done; i < run.end; i++ {
-				if _, err := m.tiers[run.tier].Get(p.handles[i]); err != nil {
-					return done, err
+			for n < run.end-done {
+				if _, err = m.tiers[run.tier].Get(p.handles[done+n]); err != nil {
+					break
 				}
-				m.perTierReads[run.tier] += p.sums[i+1] - p.sums[i]
-				done++
+				n++
 			}
+		}
+		// Prefix sums give the completed objects' total in O(1); integer
+		// addition makes it the exact per-object sum.
+		m.perTierReads[run.tier] += p.sums[done+n] - p.sums[done]
+		done += n
+		if err != nil {
+			return done, err
 		}
 	}
 	return done, nil
