@@ -58,7 +58,8 @@ golden:
 # scans. FuzzMRMReads: puts, deletes, Ticks, compactions and fault arming on
 # twin MRMs, whose Get/GetRefs reads (per-object vectored reads, or
 # epoch-stamped run summaries) must match an extent-by-extent zone Read loop
-# in results, stats, energy and device counters. FuzzAddRepeated: memdev's O(1)-per-run repeated float add must
+# in results, stats, energy and device counters, with CheckInvariants passing
+# on both after every op, failed puts and refreshes included. FuzzAddRepeated: memdev's O(1)-per-run repeated float add must
 # equal the plain add loop bit for bit. The checked-in seed corpora also run
 # as part of `go test`.
 fuzz:
@@ -88,16 +89,17 @@ loc:
 # sweep-engine scaling benchmarks (workers=1 vs workers=NumCPU), the device
 # hot-path benchmarks (superblock-pruned BER scan, coalesced reads, run-charged
 # reads, histogram bucket cache), the MRM read path one layer at a time (core GetRefs, then
-# tier GetPlanned over the same objects), the cluster-level serving
+# tier GetPlanned over the same objects), the write path one layer at a time
+# (controller AppendVec, core PutBatch, tier Manager PutBatch), the cluster-level serving
 # benchmarks (coalesced decode loop, batched write path, fleet run), and the
 # fleet-scale benchmarks (1000-node fleet-day from a materialized slice and
 # streamed, serial and pipelined, plus the generation/placement microbenches
 # that decompose the streamed day).
-BENCH_JSON_RE = ^(BenchmarkSweep|BenchmarkDeviceRead|BenchmarkDeviceWrite|BenchmarkHistogramObserve|BenchmarkMRMGetRefs|BenchmarkGetPlanned|BenchmarkDecodeCoalesce|BenchmarkSimWritePath|BenchmarkFleetRun|BenchmarkFleetDay|BenchmarkFleetPlacement|BenchmarkGeneratorStream)
+BENCH_JSON_RE = ^(BenchmarkSweep|BenchmarkDeviceRead|BenchmarkDeviceWrite|BenchmarkHistogramObserve|BenchmarkMRMGetRefs|BenchmarkGetPlanned|BenchmarkZonedAppendVec|BenchmarkMRMPutBatch|BenchmarkManagerPutBatch|BenchmarkDecodeCoalesce|BenchmarkSimWritePath|BenchmarkFleetRun|BenchmarkFleetDay|BenchmarkFleetPlacement|BenchmarkGeneratorStream)
 
 bench-json:
 	go test -json -run '^$$' -bench '$(BENCH_JSON_RE)' -benchmem \
-		. ./internal/memdev ./internal/metrics ./internal/core ./internal/tier ./internal/cluster > BENCH_all.json
+		. ./internal/memdev ./internal/metrics ./internal/controller ./internal/core ./internal/tier ./internal/cluster > BENCH_all.json
 	@grep -c '"Action"' BENCH_all.json >/dev/null && echo "wrote BENCH_all.json"
 
 # bench-diff compares the device and cluster hot-path benchmarks — including

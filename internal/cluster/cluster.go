@@ -841,9 +841,9 @@ func (s *Sim) flushScratch(n int) ([]tier.Meta, []tier.ObjectID, []time.Duration
 }
 
 // flushPages writes n full KV pages for the request into the tiered store as
-// one batched put (identical placement, device writes, and fault events to n
-// serial Puts). On error the pages stored before the failure are already
-// appended to the request, matching the serial path's partial progress.
+// one batched put. On error the pages stored before the failure are appended
+// to the request; the failed page and the ones after it left no trace in the
+// store (see tier.BatchPutter).
 func (s *Sim) flushPages(r *running, n int) error {
 	if n == 0 {
 		return nil
@@ -1022,8 +1022,7 @@ func (s *Sim) decodeStep() error {
 // writes issue as one batched put each; a finish op is a barrier (its page
 // deletes change where later writes may land, so batching across one would
 // perturb allocation). A failed page write truncates only the owning request
-// — its pages are released, freeing memory — and the writes after it retry,
-// exactly as the per-page path behaved.
+// — its pages are released, freeing memory — and the writes after it retry.
 func (s *Sim) runStepOps(ops []stepOp) error {
 	for len(ops) > 0 {
 		if ops[0].fin {
@@ -1044,8 +1043,11 @@ func (s *Sim) runStepOps(ops []stepOp) error {
 	return nil
 }
 
-// flushOps writes the pages of one barrier-free run of flush ops, retrying
-// after each truncation until every surviving op's pages are stored.
+// flushOps writes the pages of one barrier-free run of flush ops as one
+// batched put, retrying after each truncation until every surviving op's
+// pages are stored. A failed put stores the pages before the failing one and
+// nothing of the rest (see tier.BatchPutter), so the retry starts from the
+// store as those stored pages left it.
 func (s *Sim) flushOps(ops []stepOp, total int) error {
 	for len(ops) > 0 {
 		metas, ids, lats, tiers := s.flushScratch(total)

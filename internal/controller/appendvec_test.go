@@ -5,52 +5,62 @@ import (
 	"testing"
 	"time"
 
+	"mrm/internal/cellphys"
 	"mrm/internal/memdev"
 	"mrm/internal/units"
 )
 
-// newTwinZonedForAppend builds two identical zoned controllers with a mix of
-// open, partially-filled, empty, and full zones, optionally fault-armed.
-func newTwinZonedForAppend(t *testing.T, faults memdev.FaultConfig) (*Zoned, *Zoned) {
-	t.Helper()
-	mk := func() *Zoned {
-		spec := memdev.HBM3E
-		spec.Capacity = 64 * units.MiB
-		dev, err := memdev.NewDevice(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		z, err := NewZoned(dev, 4*units.MiB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Zones 0-3 open; 1 partially filled; 2 nearly full; 4+ left empty.
-		for id := 0; id < 4; id++ {
-			if err := z.Open(id, time.Hour); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := z.Append(1, units.MiB); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := z.Append(2, 4*units.MiB-512); err != nil {
-			t.Fatal(err)
-		}
-		dev.SetFaults(faults)
-		return z
-	}
-	return mk(), mk()
+// appendOne appends size bytes to zone id as a one-request AppendVec.
+func appendOne(z *Zoned, id int, size units.Bytes) (memdev.Result, error) {
+	var res [1]memdev.Result
+	_, err := z.AppendVec([]AppendReq{{Zone: id, Size: size}}, res[:])
+	return res[0], err
 }
 
-// compareAppendTwins runs one batch through both controllers (one serially,
-// one via AppendVec) and requires identical results, errors, zone state, and
-// device accounting.
-func compareAppendTwins(t *testing.T, ci int, seq, vec *Zoned, reqs []AppendReq) {
+// newZonedForAppend builds a zoned controller with a mix of open,
+// partially-filled, empty, and full zones, fault-armed after the setup.
+func newZonedForAppend(t *testing.T, faults memdev.FaultConfig) *Zoned {
 	t.Helper()
+	spec := memdev.HBM3E
+	spec.Capacity = 64 * units.MiB
+	dev, err := memdev.NewDevice(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := NewZoned(dev, 4*units.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zones 0-3 open; 1 partially filled; 2 nearly full; 4+ left empty.
+	for id := 0; id < 4; id++ {
+		if err := z.Open(id, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := appendOne(z, 1, units.MiB); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendOne(z, 2, 4*units.MiB-512); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetFaults(faults)
+	return z
+}
+
+// compareAppendTwins runs reqs through fresh controllers three ways: one
+// request per AppendVec call, stopping at the first failure; as one batch;
+// and as one batch of the prefix the batch stored. The first two must agree
+// on done counts, errors, per-request costs, zone state, and device
+// accounting. The batch must then leave its zones, free bytes, and
+// least-worn empty zone exactly as the prefix twin does, whatever stopped it,
+// and pass CheckInvariants. It returns the batch's done count.
+func compareAppendTwins(t *testing.T, ci int, faults memdev.FaultConfig, reqs []AppendReq) int {
+	t.Helper()
+	seq, vec := newZonedForAppend(t, faults), newZonedForAppend(t, faults)
 	seqResults := make([]memdev.Result, len(reqs))
 	seqDone, seqErr := len(reqs), error(nil)
 	for i, r := range reqs {
-		res, err := seq.Append(r.Zone, r.Size)
+		res, err := appendOne(seq, r.Zone, r.Size)
 		seqResults[i] = res
 		if err != nil {
 			seqDone, seqErr = i, err
@@ -60,11 +70,11 @@ func compareAppendTwins(t *testing.T, ci int, seq, vec *Zoned, reqs []AppendReq)
 	vecResults := make([]memdev.Result, len(reqs))
 	vecDone, vecErr := vec.AppendVec(reqs, vecResults)
 	if vecDone != seqDone {
-		t.Fatalf("case %d: done %d != sequential %d (err %v vs %v)", ci, vecDone, seqDone, vecErr, seqErr)
+		t.Fatalf("case %d: done %d != one at a time %d (err %v vs %v)", ci, vecDone, seqDone, vecErr, seqErr)
 	}
 	if (vecErr == nil) != (seqErr == nil) ||
 		(vecErr != nil && vecErr.Error() != seqErr.Error()) {
-		t.Fatalf("case %d: err %q != sequential %q", ci, vecErr, seqErr)
+		t.Fatalf("case %d: err %q != one at a time %q", ci, vecErr, seqErr)
 	}
 	for i := 0; i < seqDone; i++ {
 		if vecResults[i] != seqResults[i] {
@@ -82,15 +92,32 @@ func compareAppendTwins(t *testing.T, ci int, seq, vec *Zoned, reqs []AppendReq)
 			t.Fatalf("case %d zone %d: %+v != %+v", ci, id, seq.zones[id], vec.zones[id])
 		}
 	}
+
+	pre := newZonedForAppend(t, faults)
+	if n, err := pre.AppendVec(reqs[:vecDone], make([]memdev.Result, vecDone)); n != vecDone || err != nil {
+		t.Fatalf("case %d: prefix twin stored %d of %d: %v", ci, n, vecDone, err)
+	}
+	for id := range pre.zones {
+		if pre.zones[id] != vec.zones[id] {
+			t.Fatalf("case %d zone %d: %+v, prefix twin %+v", ci, id, vec.zones[id], pre.zones[id])
+		}
+	}
+	if vec.FreeBytes() != pre.FreeBytes() || vec.LeastWornEmpty() != pre.LeastWornEmpty() {
+		t.Fatalf("case %d: (free %v, least worn %d), prefix twin (%v, %d)", ci,
+			vec.FreeBytes(), vec.LeastWornEmpty(), pre.FreeBytes(), pre.LeastWornEmpty())
+	}
+	if err := vec.CheckInvariants(); err != nil {
+		t.Fatalf("case %d: %v", ci, err)
+	}
+	return vecDone
 }
 
-// TestAppendVecMatchesSequentialAppend checks the strict equivalence
-// contract on the write side: the vectored path must produce the same
-// per-request costs, the same error at the same index, the same zone state
-// (write pointers, ZoneFull transitions, WrittenAt stamps), and the same
-// device-side accounting as call-by-call Appends that stop at the first
-// failure — including batches with an invalid request in the middle and
-// repeated appends to the same zone within one batch.
+// TestAppendVecMatchesSequentialAppend checks the batch against one request
+// per call — same per-request costs, the same error at the same index, the
+// same zone state (write pointers, ZoneFull transitions, WrittenAt stamps),
+// and the same device accounting — and the failure contract against the
+// prefix twin: an invalid request mid-batch leaves no trace of itself or of
+// any later request. It covers repeated appends to one zone within a batch.
 func TestAppendVecMatchesSequentialAppend(t *testing.T) {
 	cases := [][]AppendReq{
 		{{Zone: 0, Size: units.MiB}},
@@ -99,8 +126,8 @@ func TestAppendVecMatchesSequentialAppend(t *testing.T) {
 		{{Zone: 0, Size: units.MiB}, {Zone: 0, Size: units.MiB}, {Zone: 0, Size: 2 * units.MiB}},
 		// Mixed zones, one filling exactly to ZoneFull.
 		{{Zone: 0, Size: 4 * units.MiB}, {Zone: 1, Size: 3 * units.MiB}, {Zone: 3, Size: 512}},
-		// Request 1 overflows its zone mid-batch: request 0 is still charged,
-		// request 2 is not.
+		// Request 1 overflows its zone mid-batch: request 0 is stored,
+		// request 2 leaves no trace.
 		{{Zone: 0, Size: units.MiB}, {Zone: 2, Size: units.MiB}, {Zone: 3, Size: units.MiB}},
 		// Append to an empty (never-opened) zone mid-batch.
 		{{Zone: 3, Size: units.MiB}, {Zone: 5, Size: units.MiB}, {Zone: 0, Size: units.MiB}},
@@ -112,21 +139,21 @@ func TestAppendVecMatchesSequentialAppend(t *testing.T) {
 		{{Zone: 2, Size: 512}, {Zone: 2, Size: 512}},
 	}
 	for ci, reqs := range cases {
-		seq, vec := newTwinZonedForAppend(t, memdev.FaultConfig{})
-		compareAppendTwins(t, ci, seq, vec, reqs)
+		compareAppendTwins(t, ci, memdev.FaultConfig{}, reqs)
 	}
 }
 
-// TestAppendVecMatchesSequentialUnderWriteFaults drives fault-armed twins
-// through random append batches: injected program failures must surface at
-// the same request index with the same error, counters, and zone state as
-// the sequential path (including the WrittenAt stamp the sequential path
-// leaves behind on a failed first append).
+// TestAppendVecMatchesSequentialUnderWriteFaults drives fault-armed
+// controllers through random append batches: an injected program failure
+// must surface at the same request index, with the same error and device
+// counters, as one request per call, and roll the faulted request and every
+// later one back in full — its WrittenAt stamp included — to the prefix
+// twin's zone state.
 func TestAppendVecMatchesSequentialUnderWriteFaults(t *testing.T) {
 	faults := memdev.FaultConfig{Seed: 7, WriteFaultRate: 0.15}
 	rng := rand.New(rand.NewSource(11))
+	faulted := 0
 	for round := 0; round < 40; round++ {
-		seq, vec := newTwinZonedForAppend(t, faults)
 		n := 1 + rng.Intn(8)
 		reqs := make([]AppendReq, n)
 		for i := range reqs {
@@ -135,13 +162,56 @@ func TestAppendVecMatchesSequentialUnderWriteFaults(t *testing.T) {
 				Size: units.Bytes(1+rng.Intn(512)) * units.KiB,
 			}
 		}
-		compareAppendTwins(t, round, seq, vec, reqs)
+		if done := compareAppendTwins(t, round, faults, reqs); done < n {
+			faulted++
+		}
+	}
+	if faulted == 0 {
+		t.Fatal("no batch failed; the fault rate exercised nothing")
 	}
 }
 
 func TestAppendVecShortResults(t *testing.T) {
-	z, _ := newTwinZonedForAppend(t, memdev.FaultConfig{})
+	z := newZonedForAppend(t, memdev.FaultConfig{})
 	if _, err := z.AppendVec(make([]AppendReq, 2), make([]memdev.Result, 1)); err == nil {
 		t.Fatal("want error for short results slice")
+	}
+}
+
+// BenchmarkZonedAppendVec measures the MRM tier's zone appends at the
+// HBMPlusMRM shape (384 GiB of 64 MiB zones, 6,144 zones): per op, one batch
+// of eight 8 MiB appends, the device writes of core's BenchmarkMRMPutBatch,
+// into the least-worn empty zone, which the batch fills and a Reset then
+// returns to empty.
+func BenchmarkZonedAppendVec(b *testing.B) {
+	spec := memdev.MRMSpec(cellphys.RRAM, 7*24*time.Hour)
+	spec.Capacity = 384 * units.GiB
+	spec.BlockSize = 64 * units.MiB
+	dev, err := memdev.NewDevice(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	z, err := NewZoned(dev, 64*units.MiB)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]AppendReq, 8)
+	results := make([]memdev.Result, len(reqs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := z.LeastWornEmpty()
+		if err := z.Open(id, time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		for k := range reqs {
+			reqs[k] = AppendReq{Zone: id, Size: 8 * units.MiB}
+		}
+		if n, err := z.AppendVec(reqs, results); err != nil || n != len(reqs) {
+			b.Fatalf("AppendVec stored %d of %d: %v", n, len(reqs), err)
+		}
+		if err := z.Reset(id); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -278,30 +278,6 @@ func (z *Zoned) Open(id int, retention time.Duration) error {
 	return nil
 }
 
-// Append writes size bytes at the zone's write pointer and advances it.
-// The zone must be open and have room.
-func (z *Zoned) Append(id int, size units.Bytes) (memdev.Result, error) {
-	zn, err := z.zoneRef(id)
-	if err != nil {
-		return memdev.Result{}, err
-	}
-	if zn.State != ZoneOpen {
-		return memdev.Result{}, fmt.Errorf("controller: append to zone %d in state %v", id, zn.State)
-	}
-	if size == 0 || size > zn.Remaining() {
-		return memdev.Result{}, fmt.Errorf("controller: append %v exceeds zone %d remaining %v", size, id, zn.Remaining())
-	}
-	if zn.WritePtr == 0 {
-		zn.WrittenAt = z.dev.Now()
-	}
-	res, err := z.dev.WriteAt(zn.Start+zn.WritePtr, size)
-	if err != nil {
-		return memdev.Result{}, err
-	}
-	z.advance(zn, size)
-	return res, nil
-}
-
 // Read reads size bytes at offset within zone id. Reading an expired zone
 // is an error — the control plane must have refreshed or dropped it.
 func (z *Zoned) Read(id int, off, size units.Bytes) (memdev.Result, error) {
@@ -333,9 +309,10 @@ func (z *Zoned) ReadSpan(id int, off, size units.Bytes) (memdev.Span, error) {
 }
 
 // Epoch counts the transitions that can make written data unreadable: Reset,
-// expiry, CancelOpen and AppendVec's rollback. The rest only open zones or
-// advance write pointers, so a span ReadSpan accepted stays valid while Epoch
-// is unchanged. It starts at 1, so a zero stamp never matches.
+// expiry, CancelOpen and AppendVec's rollback of a device fault. The rest
+// only open zones or advance write pointers, so a span ReadSpan accepted
+// stays valid while Epoch is unchanged. It starts at 1, so a zero stamp never
+// matches.
 func (z *Zoned) Epoch() uint64 { return z.epoch }
 
 // AppendReq is one zone append within an AppendVec batch.
@@ -344,9 +321,8 @@ type AppendReq struct {
 	Size units.Bytes
 }
 
-// appendUndo records the zone mutations AppendVec applied for one request so
-// a mid-batch device failure can roll back exactly to what a sequential
-// caller would have left behind.
+// appendUndo records the zone mutations AppendVec applied for one request, so
+// a device fault can take them back.
 type appendUndo struct {
 	zone          *Zone
 	size          units.Bytes
@@ -355,26 +331,24 @@ type appendUndo struct {
 	stamped       bool // this request stamped WrittenAt (first append to the zone)
 }
 
-// AppendVec performs the appends described by reqs exactly as if Append were
-// called once per request in order — same validation (against the write
-// pointer as advanced by the earlier requests in the batch), same per-write
-// device accounting and fault events, same error precedence — but coalesces
-// the device writes into a single batched call. results[i] (len(results)
-// must be >= len(reqs)) receives request i's cost. It returns the index of
-// the first request that failed plus its error, or (len(reqs), nil) on full
-// success. A validation failure at request i is reported only after the
-// device writes for requests [0, i) have been issued — and a device error
-// among those takes precedence. A device write fault leaves its zone exactly
-// as a failed sequential Append would: write pointer and state unchanged,
-// but the first-append WrittenAt stamp (applied before the device write on
-// the sequential path) persists.
+// AppendVec appends reqs in order, each at its zone's write pointer as
+// advanced by the earlier requests, and issues the device writes as one
+// vectored call. results[i] (len(results) must be >= len(reqs)) receives
+// request i's cost. It validates every request before it issues any device
+// write; an invalid request i cuts the batch there, and requests [0, i) are
+// still written. It returns (len(reqs), nil) on success, or the index of the
+// first request that failed and its error. A failed call leaves requests
+// [0, i) applied exactly as AppendVec(reqs[:i]) would apply them, and no trace
+// of request i or any later one: write pointers, states, WrittenAt stamps and
+// the indexes are as before them. A device fault stays charged on the device.
 func (z *Zoned) AppendVec(reqs []AppendReq, results []memdev.Result) (int, error) {
 	if len(results) < len(reqs) {
 		return 0, fmt.Errorf("controller: AppendVec: %d results for %d requests", len(results), len(reqs))
 	}
 	z.spanBuf = z.spanBuf[:0]
 	z.undoBuf = z.undoBuf[:0]
-	for i, r := range reqs {
+	var valErr error
+	for _, r := range reqs {
 		zn, err := z.zoneRef(r.Zone)
 		if err == nil {
 			if zn.State != ZoneOpen {
@@ -384,14 +358,8 @@ func (z *Zoned) AppendVec(reqs []AppendReq, results []memdev.Result) (int, error
 			}
 		}
 		if err != nil {
-			// A sequential caller has already issued (and committed) the device
-			// writes for the earlier, valid requests before hitting this one.
-			done, derr := z.flushAppends(results)
-			if derr != nil {
-				return done, derr
-			}
-			results[i] = memdev.Result{}
-			return i, err
+			valErr = err
+			break
 		}
 		u := appendUndo{zone: zn, size: r.Size, prevState: zn.State, prevWrittenAt: zn.WrittenAt}
 		if zn.WritePtr == 0 {
@@ -402,31 +370,23 @@ func (z *Zoned) AppendVec(reqs []AppendReq, results []memdev.Result) (int, error
 		z.advance(zn, r.Size)
 		z.undoBuf = append(z.undoBuf, u)
 	}
-	return z.flushAppends(results)
-}
-
-// flushAppends issues the accumulated spans in one device call and, on a
-// device failure, rolls the eagerly-applied zone mutations back to the exact
-// state a sequential caller stopping at that write would have left.
-func (z *Zoned) flushAppends(results []memdev.Result) (int, error) {
-	done, err := z.dev.WriteSpans(z.spanBuf, results)
-	if err != nil {
-		z.epoch++
-		for k := len(z.undoBuf) - 1; k >= done; k-- {
-			u := &z.undoBuf[k]
-			u.zone.WritePtr -= u.size
-			u.zone.State = u.prevState
-			z.free += u.size
-			if u.stamped {
-				// Back to an unwritten zone: nothing of it can expire.
-				z.expiry.remove(u.zone.ID)
-			}
-			// The failing request itself keeps its WrittenAt stamp — the
-			// sequential path stamps before the device write; requests after it
-			// never ran at all.
-			if u.stamped && k > done {
-				u.zone.WrittenAt = u.prevWrittenAt
-			}
+	n := len(z.spanBuf)
+	done, err := z.dev.WriteSpans(z.spanBuf, results[:n])
+	if err == nil {
+		return n, valErr
+	}
+	// Take back the faulted request and every one after it, latest first, so
+	// each zone returns to the state it had before the batch reached it.
+	z.epoch++
+	for k := n - 1; k >= done; k-- {
+		u := &z.undoBuf[k]
+		u.zone.WritePtr -= u.size
+		u.zone.State = u.prevState
+		z.free += u.size
+		if u.stamped {
+			// Back to an unwritten zone: nothing of it can expire.
+			z.expiry.remove(u.zone.ID)
+			u.zone.WrittenAt = u.prevWrittenAt
 		}
 	}
 	return done, err
@@ -458,9 +418,9 @@ func deadline(zn *Zone) time.Duration {
 
 // CancelOpen reverts an Open on a zone that was never appended to, returning
 // it to empty without counting a reset (nothing was written, so no wear).
-// It is the planning counterpart to Open: batched writers open zones ahead
-// of issuing the device writes and must release the unused ones when a
-// mid-batch failure cuts the batch short.
+// It is the planning counterpart to Open: a batched writer opens zones ahead
+// of issuing the device writes and releases the ones a failure leaves
+// unwritten.
 func (z *Zoned) CancelOpen(id int) error {
 	zn, err := z.zoneRef(id)
 	if err != nil {
@@ -591,18 +551,6 @@ func (z *Zoned) WearSpread() (maxResets int, meanResets float64) {
 		}
 	}
 	return maxResets, float64(sum) / float64(len(z.zones))
-}
-
-// ZonesInState returns ids of zones in the given state, sorted.
-func (z *Zoned) ZonesInState(st ZoneState) []int {
-	var ids []int
-	for i := range z.zones {
-		if z.zones[i].State == st {
-			ids = append(ids, i)
-		}
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 func (z *Zoned) zoneRef(id int) (*Zone, error) {

@@ -160,7 +160,7 @@ func TestZonedLifecycle(t *testing.T) {
 	if err := z.Open(0, time.Hour); err == nil {
 		t.Fatal("double open should error")
 	}
-	if _, err := z.Append(0, units.MiB); err != nil {
+	if _, err := appendOne(z, 0, units.MiB); err != nil {
 		t.Fatal(err)
 	}
 	zn, _ := z.Zone(0)
@@ -189,14 +189,14 @@ func TestZonedAppendFills(t *testing.T) {
 	z := newZoned(t)
 	_ = z.Open(1, time.Hour)
 	zn, _ := z.Zone(1)
-	if _, err := z.Append(1, zn.Size); err != nil {
+	if _, err := appendOne(z, 1, zn.Size); err != nil {
 		t.Fatal(err)
 	}
 	zn, _ = z.Zone(1)
 	if zn.State != ZoneFull {
 		t.Fatalf("state = %v, want full", zn.State)
 	}
-	if _, err := z.Append(1, 1); err == nil {
+	if _, err := appendOne(z, 1, 1); err == nil {
 		t.Fatal("append to full zone should error")
 	}
 }
@@ -204,16 +204,16 @@ func TestZonedAppendFills(t *testing.T) {
 func TestZonedAppendBounds(t *testing.T) {
 	z := newZoned(t)
 	_ = z.Open(0, time.Hour)
-	if _, err := z.Append(0, 0); err == nil {
+	if _, err := appendOne(z, 0, 0); err == nil {
 		t.Fatal("zero append should error")
 	}
-	if _, err := z.Append(0, 65*units.MiB); err == nil {
+	if _, err := appendOne(z, 0, 65*units.MiB); err == nil {
 		t.Fatal("oversized append should error")
 	}
-	if _, err := z.Append(5, units.KiB); err == nil {
+	if _, err := appendOne(z, 5, units.KiB); err == nil {
 		t.Fatal("append to unopened zone should error")
 	}
-	if _, err := z.Append(-1, 1); err == nil {
+	if _, err := appendOne(z, -1, 1); err == nil {
 		t.Fatal("negative zone should error")
 	}
 	if _, err := z.Zone(1 << 20); err == nil {
@@ -224,9 +224,9 @@ func TestZonedAppendBounds(t *testing.T) {
 func TestZonedExpiry(t *testing.T) {
 	z := newZoned(t)
 	_ = z.Open(0, time.Hour)
-	_, _ = z.Append(0, units.MiB)
+	_, _ = appendOne(z, 0, units.MiB)
 	_ = z.Open(1, 10*time.Hour)
-	_, _ = z.Append(1, units.MiB)
+	_, _ = appendOne(z, 1, units.MiB)
 
 	if err := z.Device().Advance(2 * time.Hour); err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestZonedWearLeveling(t *testing.T) {
 	// Wear zone 0 with 3 resets.
 	for i := 0; i < 3; i++ {
 		_ = z.Open(0, time.Hour)
-		_, _ = z.Append(0, units.KiB)
+		_, _ = appendOne(z, 0, units.KiB)
 		_ = z.Reset(0)
 	}
 	if got := z.LeastWornEmpty(); got == 0 {
@@ -264,16 +264,6 @@ func TestZonedWearLeveling(t *testing.T) {
 	}
 	if meanR <= 0 || meanR >= 3 {
 		t.Fatalf("mean resets = %v", meanR)
-	}
-}
-
-func TestZonesInState(t *testing.T) {
-	z := newZoned(t)
-	_ = z.Open(2, time.Hour)
-	_ = z.Open(7, time.Hour)
-	got := z.ZonesInState(ZoneOpen)
-	if len(got) != 2 || got[0] != 2 || got[1] != 7 {
-		t.Fatalf("open zones = %v", got)
 	}
 }
 

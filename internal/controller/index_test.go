@@ -33,7 +33,7 @@ func scanDue(z *Zoned) []int {
 const fuzzZones = 8
 
 // newFuzzZoned builds a small controller (eight 1 MiB zones) whose device
-// fails one write in five, so Append and AppendVec take their fault paths.
+// fails one write in five, so appends take their fault paths.
 func newFuzzZoned(t *testing.T, seed byte) *Zoned {
 	t.Helper()
 	spec := memdev.HBM3E
@@ -81,7 +81,7 @@ func FuzzZoned(f *testing.F) {
 			case 0:
 				_ = z.Open(zone(a), retention(b))
 			case 1:
-				_, _ = z.Append(zone(a), size(b))
+				_, _ = appendOne(z, zone(a), size(b))
 			case 2:
 				reqs = reqs[:0]
 				for n := 1 + int(a)%4; n > 0 && len(data) >= 2; n-- {
@@ -141,7 +141,7 @@ func BenchmarkZonedExpireDue(b *testing.B) {
 		if err := z.Open(id, classes[id/2%len(classes)]); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := z.Append(id, units.MiB); err != nil {
+		if _, err := appendOne(z, id, units.MiB); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ func newTwinZoned(t *testing.T) (*Zoned, *Zoned) {
 			if err := z.Open(id, time.Hour); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := z.Append(id, 2*units.MiB); err != nil {
+			if _, err := appendOne(z, id, 2*units.MiB); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -100,7 +100,7 @@ func TestEpochMovesOnlyWhenDataCanBecomeUnreadable(t *testing.T) {
 		t.Fatal("epoch starts at 0, which a zero stamp would match")
 	}
 	step("open", false, func() error { return z.Open(4, 30*time.Minute) })
-	step("append", false, func() error { _, err := z.Append(4, units.MiB); return err })
+	step("append", false, func() error { _, err := appendOne(z, 4, units.MiB); return err })
 	results := make([]memdev.Result, 2)
 	step("appendvec", false, func() error {
 		_, err := z.AppendVec([]AppendReq{{Zone: 4, Size: units.MiB}, {Zone: 0, Size: units.MiB}}, results)

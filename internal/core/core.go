@@ -251,25 +251,21 @@ type MRM struct {
 	spanBuf []memdev.Span
 	runBuf  []memdev.SizeRun
 
-	// Scratch buffers for PutBatch, reused across calls so the write hot
-	// path allocates only per-object state that outlives the call.
+	// Scratch buffers for write, reused across calls so the write hot path
+	// allocates only per-object state that outlives the call.
 	resBuf  []memdev.Result
 	putPlan []putChunk
-	putEnds []int // per-object end index into putPlan
-	putReqs []controller.AppendReq
+	putEnds []int                  // per-object end index into putPlan
+	putReqs []controller.AppendReq // putPlan's appends, as AppendVec takes them
 }
 
-// putChunk is one planned zone append within a PutBatch: enough to rebuild
-// the extent, replay open-zone rotation, and roll back an eager zone Open if
-// a mid-batch failure means the serial path would never have reached it.
+// putChunk is one planned zone append: the extent it becomes, and whether
+// planning it opened its zone, which a failure must then close.
 type putChunk struct {
-	objIdx    int
-	zid       int
-	off       units.Bytes
-	size      units.Bytes
-	opened    bool  // planning this chunk opened zid (empty -> open)
-	prevClass Class // zone's class label before the open, for rollback
-	fills     bool  // this chunk advances zid to ZoneFull
+	zid    int
+	off    units.Bytes
+	size   units.Bytes
+	opened bool
 }
 
 // New builds an MRM from cfg.
@@ -408,266 +404,156 @@ func (m *MRM) Capacity() units.Bytes { return m.cfg.Capacity }
 // controller keeps the count current, so this is O(1).
 func (m *MRM) FreeBytes() units.Bytes { return m.zoned.FreeBytes() }
 
-// Put stores an object of the given size with the requested lifetime.
-// It returns the object id and the write latency of the slowest extent.
+// Put stores an object of the given size with the requested lifetime: a
+// one-object PutBatch. It returns the object id and the write latency of the
+// slowest extent.
 func (m *MRM) Put(size units.Bytes, opts WriteOptions) (ObjectID, time.Duration, error) {
-	if size == 0 {
-		return 0, 0, fmt.Errorf("core: zero-size object")
-	}
-	class, _ := m.ChooseClass(opts.Lifetime)
-	id := m.nextID
-	m.nextID++
-	obj := &object{
-		id:    id,
-		size:  size,
-		class: class,
-		opts:  opts,
-	}
-	lat, err := m.appendObject(obj, size, false)
-	if err != nil {
+	var ids [1]ObjectID
+	var lats [1]time.Duration
+	if _, err := m.PutBatch([]units.Bytes{size}, opts, ids[:], lats[:]); err != nil {
 		return 0, 0, err
 	}
-	obj.deadline = m.objectDeadline(obj)
-	m.objects[id] = obj
-	heap.Push(&m.heap, deadlineItem{id: id, deadline: obj.deadline})
-	m.stats.Puts++
-	m.stats.BytesWritten += size
-	return id, lat, nil
+	return ids[0], lats[0], nil
 }
 
-// PutBatch stores len(sizes) objects sharing one set of write options exactly
-// as if Put were called once per size in order — same object ids, zone
-// selection and wear-leveling decisions, chunking, energy accumulation order,
-// retention deadlines and heap order, fault-injection decisions, and the same
-// error surfaced at the same object index — but issues every device write as
-// one vectored append (one device lock acquisition per batch instead of one
-// per chunk). ids[i] and lats[i] (both slices must be at least len(sizes)
-// long) receive object i's id and worst-extent write latency. It returns the
-// number of objects fully stored; when that is < len(sizes), the error is
-// what the first-failing Put would have returned, and the control-plane
-// residue (consumed ids, charged energy, zone membership of the failing
-// object's completed chunks, open-zone rotation) matches the serial path
-// bit for bit.
+// PutBatch stores len(sizes) objects sharing one set of write options, in
+// order, issuing every device write as one vectored append. ids[i] and lats[i]
+// (both slices must be at least len(sizes) long) receive object i's id and
+// worst-extent write latency. It returns the number of objects stored; when
+// that number i is < len(sizes), the error says why object i failed. A failed
+// call stores objects [0, i) exactly as PutBatch(sizes[:i]) would, and leaves
+// no trace of object i or any later one: no id consumed, no zone membership,
+// no deadline-heap entry, no zone left open but unwritten. Device writes it
+// issued stay charged, a faulted one included.
 func (m *MRM) PutBatch(sizes []units.Bytes, opts WriteOptions, ids []ObjectID, lats []time.Duration) (int, error) {
 	if len(ids) < len(sizes) || len(lats) < len(sizes) {
 		return 0, fmt.Errorf("core: PutBatch: %d ids / %d lats for %d sizes", len(ids), len(lats), len(sizes))
 	}
-	if len(sizes) == 0 {
-		return 0, nil
-	}
 	class, _ := m.ChooseClass(opts.Lifetime)
-	startID := m.nextID
-	m.putPlan = m.putPlan[:0]
-	m.putEnds = m.putEnds[:0]
+	n, err := m.write(sizes, class, false)
+	wbw := m.zoned.Device().Spec().WriteBW
+	start := 0
+	for i := 0; i < n; i++ {
+		obj := &object{id: m.nextID, size: sizes[i], class: class, opts: opts}
+		m.nextID++
+		lats[i] = m.addExtents(obj, start, m.putEnds[i], wbw)
+		start = m.putEnds[i]
+		obj.deadline = m.objectDeadline(obj)
+		m.objects[obj.id] = obj
+		heap.Push(&m.heap, deadlineItem{id: obj.id, deadline: obj.deadline})
+		m.stats.Puts++
+		m.stats.BytesWritten += sizes[i]
+		ids[i] = obj.id
+	}
+	return n, err
+}
 
-	// Plan: mirror the serial chunking loop — zone rotation tracked locally,
-	// zone Opens applied eagerly (they touch no device state and are rolled
-	// back if unreached), every device write deferred to one AppendVec.
+// write is the one write routine: it plans sizes as chunks in zones of class
+// — the class's open zone first, then least-worn empty zones, opened as
+// planned — issues them as one AppendVec, and charges each written chunk its
+// class's write energy, as refresh housekeeping when refresh is set. It
+// returns the number of objects written in full; object i's chunks are
+// m.putPlan[m.putEnds[i-1]:m.putEnds[i]]. Planning stops before an object
+// that is empty or finds no zone, closing the zones opened for it, so nothing
+// of it is written. A device fault stops the batch at the faulted chunk's
+// object: the zones opened for chunks the fault rolled back are closed, and
+// that object's chunks that did latch stay written but belong to no object.
+// The class's open zone is then the last written chunk's zone, if it has room.
+func (m *MRM) write(sizes []units.Bytes, class Class, refresh bool) (int, error) {
+	m.putPlan, m.putEnds, m.putReqs = m.putPlan[:0], m.putEnds[:0], m.putReqs[:0]
 	oz := m.openZone[class]
 	var zPtr, zRem units.Bytes
-	ozLoaded := false
-	valErr := error(nil) // validation failure that ends the plan
-	idsConsumed := 0     // objects whose id the serial path consumed
-
+	if oz >= 0 {
+		zn, _ := m.zoned.Zone(oz)
+		zPtr, zRem = zn.WritePtr, zn.Remaining()
+	}
+	var err error
 plan:
-	for i, size := range sizes {
+	for _, size := range sizes {
 		if size == 0 {
-			// The serial path rejects this before consuming an id.
-			valErr = fmt.Errorf("core: zero-size object")
+			err = fmt.Errorf("core: zero-size object")
 			break
 		}
-		idsConsumed = i + 1
-		remaining := size
-		for remaining > 0 {
-			openedNow := false
-			var prevClass Class
-			if oz < 0 {
-				zid := m.zoned.LeastWornEmpty() // software wear-leveling
-				if zid < 0 {
-					valErr = ErrNoSpace
-					break plan
+		first := len(m.putPlan)
+		for remaining := size; remaining > 0; {
+			opened := false
+			if zRem == 0 {
+				if oz = m.zoned.LeastWornEmpty(); oz < 0 { // software wear-leveling
+					err = ErrNoSpace
+				} else {
+					err = m.zoned.Open(oz, m.cfg.Classes[class])
 				}
-				if err := m.zoned.Open(zid, m.cfg.Classes[class]); err != nil {
-					valErr = err
-					break plan
-				}
-				openedNow = true
-				prevClass = m.zones[zid].class
-				m.zones[zid].class = class
-				oz, zPtr, zRem, ozLoaded = zid, 0, m.cfg.ZoneSize, true
-			} else if !ozLoaded {
-				zn, err := m.zoned.Zone(oz)
 				if err != nil {
-					valErr = err
+					m.closePlan(first)
 					break plan
 				}
-				zPtr, zRem, ozLoaded = zn.WritePtr, zn.Remaining(), true
+				opened, zPtr, zRem = true, 0, m.cfg.ZoneSize
 			}
-			chunk := remaining
-			if chunk > zRem {
-				chunk = zRem
-			}
-			m.putPlan = append(m.putPlan, putChunk{
-				objIdx: i, zid: oz, off: zPtr, size: chunk,
-				opened: openedNow, prevClass: prevClass, fills: chunk == zRem,
-			})
-			if chunk == 0 {
-				// Degenerate: the open zone has no room. The serial path issues
-				// a zero-size append and fails with its error; AppendVec below
-				// reproduces it at this request.
-				break plan
-			}
+			chunk := min(remaining, zRem)
+			m.putPlan = append(m.putPlan, putChunk{zid: oz, off: zPtr, size: chunk, opened: opened})
+			m.putReqs = append(m.putReqs, controller.AppendReq{Zone: oz, Size: chunk})
 			zPtr += chunk
 			zRem -= chunk
-			if zRem == 0 {
-				oz = -1
-			}
 			remaining -= chunk
 		}
 		m.putEnds = append(m.putEnds, len(m.putPlan))
 	}
-
-	m.putReqs = m.putReqs[:0]
-	for j := range m.putPlan {
-		m.putReqs = append(m.putReqs, controller.AppendReq{Zone: m.putPlan[j].zid, Size: m.putPlan[j].size})
+	done, werr := m.zoned.AppendVec(m.putReqs, m.results(len(m.putReqs)))
+	if werr != nil {
+		m.closePlan(done)
+		err = werr
 	}
-	done, derr := m.zoned.AppendVec(m.putReqs, m.results(len(m.putReqs)))
-
 	op := m.ops[class]
-	wbw := m.zoned.Device().Spec().WriteBW
-	// Energy: same per-chunk values added in the same order as the serial
-	// chunk loop, so the float accumulation is bit-identical.
-	for j := 0; j < done; j++ {
-		m.energy.HostWrite += op.WriteEnergy.PerBit(m.putPlan[j].size)
+	energy := &m.energy.HostWrite
+	if refresh {
+		energy = &m.energy.RefreshWrite
 	}
-	if derr != nil {
-		// Zones opened for chunks the serial path never reached go back to
-		// empty with no reset charged; the failing chunk's own open stands
-		// (serially it happened before the failing device write).
-		for j := len(m.putPlan) - 1; j > done; j-- {
-			if e := &m.putPlan[j]; e.opened {
-				if err := m.zoned.CancelOpen(e.zid); err == nil {
-					m.zones[e.zid].class = e.prevClass
-				}
-			}
-		}
-	}
-	// Open-zone rotation: replay the serial transitions. Chunks before the
-	// failure take full effect; the failing chunk's zone selection happened
-	// but its fill did not; chunks after it never ran.
-	oz = m.openZone[class]
-	for j := range m.putPlan {
-		if derr != nil && j > done {
-			break
-		}
-		e := &m.putPlan[j]
+	for _, e := range m.putPlan {
+		// The class's DCM write energy replaces the device's generic one
+		// (the whole point of programmable retention).
+		*energy += op.WriteEnergy.PerBit(e.size)
 		if e.opened {
-			oz = e.zid
-		}
-		if e.fills && !(derr != nil && j == done) {
-			oz = -1
+			m.zones[e.zid].class = class
 		}
 	}
-	m.openZone[class] = oz
-
-	// Register fully-stored objects in id order: same deadlines (WrittenAt
-	// stamps are final — later appends in the batch cannot restamp a zone)
-	// and same heap push order as the serial path.
-	committed, start := 0, 0
-	for oi := 0; oi < len(m.putEnds); oi++ {
-		end := m.putEnds[oi]
-		if end > done {
-			break
+	if done > 0 {
+		last := m.putPlan[done-1].zid
+		if zn, _ := m.zoned.Zone(last); zn.State == controller.ZoneOpen {
+			m.openZone[class] = last
+		} else {
+			m.openZone[class] = -1
 		}
-		id := startID + ObjectID(oi)
-		obj := &object{id: id, size: sizes[oi], class: class, opts: opts}
-		var worst time.Duration
-		for j := start; j < end; j++ {
-			e := &m.putPlan[j]
-			obj.extents = append(obj.extents, extent{zone: e.zid, off: e.off, size: e.size})
-			m.zones[e.zid].objects[id] = true
-			if lat := op.WriteLatency + wbw.Time(e.size); lat > worst {
-				worst = lat
-			}
-		}
-		obj.deadline = m.objectDeadline(obj)
-		m.objects[id] = obj
-		heap.Push(&m.heap, deadlineItem{id: id, deadline: obj.deadline})
-		m.stats.Puts++
-		m.stats.BytesWritten += sizes[oi]
-		ids[oi], lats[oi] = id, worst
-		start = end
-		committed++
 	}
-	// The failing object's completed chunks keep their zone membership — the
-	// residue a failed serial Put leaves behind.
-	for j := start; j < done && j < len(m.putPlan); j++ {
-		e := &m.putPlan[j]
-		m.zones[e.zid].objects[startID+ObjectID(e.objIdx)] = true
+	n := len(m.putEnds)
+	for n > 0 && m.putEnds[n-1] > done {
+		n--
 	}
-	if derr != nil {
-		m.nextID = startID + ObjectID(m.putPlan[done].objIdx) + 1
-		return committed, derr
-	}
-	m.nextID = startID + ObjectID(idsConsumed)
-	return committed, valErr
+	return n, err
 }
 
-// appendObject writes size bytes for obj into zones of its class, recording
-// extents. refresh marks the energy as refresh housekeeping.
-func (m *MRM) appendObject(obj *object, size units.Bytes, refresh bool) (time.Duration, error) {
-	op := m.ops[obj.class]
-	wbw := m.zoned.Device().Spec().WriteBW // invariant across chunks: hoisted out of the loop
-	var worst time.Duration
-	obj.spanEpoch = 0 // the extents grow below
-	remaining := size
-	for remaining > 0 {
-		zid := m.openZone[obj.class]
-		if zid < 0 {
-			zid = m.zoned.LeastWornEmpty() // software wear-leveling
-			if zid < 0 {
-				return 0, ErrNoSpace
-			}
-			if err := m.zoned.Open(zid, m.cfg.Classes[obj.class]); err != nil {
-				return 0, err
-			}
-			m.zones[zid].class = obj.class
-			m.openZone[obj.class] = zid
-		}
-		zn, err := m.zoned.Zone(zid)
-		if err != nil {
-			return 0, err
-		}
-		chunk := remaining
-		if chunk > zn.Remaining() {
-			chunk = zn.Remaining()
-		}
-		off := zn.WritePtr
-		if _, err := m.zoned.Append(zid, chunk); err != nil {
-			return 0, err
-		}
-		// Replace the device's generic write energy with the class's DCM
-		// write energy (the whole point of programmable retention).
-		e := op.WriteEnergy.PerBit(chunk)
-		if refresh {
-			m.energy.RefreshWrite += e
-		} else {
-			m.energy.HostWrite += e
-		}
-		// Write latency: class-specific cell write time + transfer.
-		lat := op.WriteLatency + wbw.Time(chunk)
-		if lat > worst {
-			worst = lat
-		}
-		obj.extents = append(obj.extents, extent{zone: zid, off: off, size: chunk})
-		m.zones[zid].objects[obj.id] = true
-		remaining -= chunk
-		zn, _ = m.zoned.Zone(zid)
-		if zn.State == controller.ZoneFull {
-			m.openZone[obj.class] = -1
+// closePlan drops the planned chunks from index from on, closing (in reverse
+// order) the zones they opened, which nothing has been written to.
+func (m *MRM) closePlan(from int) {
+	for j := len(m.putPlan) - 1; j >= from; j-- {
+		if e := &m.putPlan[j]; e.opened {
+			_ = m.zoned.CancelOpen(e.zid)
 		}
 	}
-	return worst, nil
+	m.putPlan, m.putReqs = m.putPlan[:from], m.putReqs[:from]
+}
+
+// addExtents appends the planned chunks [from, to) to obj's extents, enters
+// obj in their zones, and returns the worst chunk's write latency: the
+// class's cell write time plus the transfer at write bandwidth wbw.
+func (m *MRM) addExtents(obj *object, from, to int, wbw units.Bandwidth) time.Duration {
+	op := m.ops[obj.class]
+	var worst time.Duration
+	for _, e := range m.putPlan[from:to] {
+		obj.extents = append(obj.extents, extent{zone: e.zid, off: e.off, size: e.size})
+		m.zones[e.zid].objects[obj.id] = true
+		worst = max(worst, op.WriteLatency+wbw.Time(e.size))
+	}
+	return worst
 }
 
 // objectDeadline computes when the object's data becomes unreliable: the
@@ -871,11 +757,6 @@ func (m *MRM) getRefsQuiet(refs []ObjRef) bool {
 					return false
 				}
 			}
-			if obj.run0.N == 0 {
-				// No extents (a failed refresh's residue): read leaves it to
-				// ReadSpans, and the ref is never cached.
-				return false
-			}
 			end = max(end, obj.spanEnd)
 			if len(obj.runs) > 0 {
 				// Several runs (weights straddling zones): merged, not cached.
@@ -936,7 +817,7 @@ func (m *MRM) NextDeadline() (time.Duration, bool) {
 	found := false
 	for _, it := range m.heap {
 		obj, ok := m.objects[it.id]
-		if !ok || it.deadline != obj.deadline {
+		if !ok || it.deadline != obj.deadline || obj.state != objLive {
 			continue // stale entry; Tick would pop and ignore it
 		}
 		fire := it.deadline
@@ -1009,7 +890,7 @@ func (m *MRM) Tick(dt time.Duration) error {
 	for m.heap.Len() > 0 {
 		top := m.heap[0]
 		obj, ok := m.objects[top.id]
-		if !ok || top.deadline != obj.deadline {
+		if !ok || top.deadline != obj.deadline || obj.state != objLive {
 			heap.Pop(&m.heap) // stale entry
 			continue
 		}
@@ -1028,11 +909,9 @@ func (m *MRM) Tick(dt time.Duration) error {
 				break
 			}
 			heap.Pop(&m.heap)
-			if obj.state == objLive {
-				m.dropExtents(obj)
-				obj.state = objExpired
-				m.stats.Expirations++
-			}
+			m.dropExtents(obj)
+			obj.state = objExpired
+			m.stats.Expirations++
 		}
 	}
 	// Let the zoned layer mark anything else expired (defensive); reclaim
@@ -1068,7 +947,8 @@ func (m *MRM) resetZone(zid int) {
 // refreshObject rewrites the object into fresh zones, extending its deadline
 // by one retention period. An uncorrectable read during refresh does not fail
 // the object: PolicyRefresh data (weights) has a durable upstream copy, so the
-// rewrite proceeds from there and the event is counted as a restore.
+// rewrite proceeds from there and the event is counted as a restore. A failed
+// rewrite leaves the object expired, with no extents.
 func (m *MRM) refreshObject(obj *object) error {
 	// Read the live data (energy), then rewrite.
 	restored := false
@@ -1086,13 +966,19 @@ func (m *MRM) refreshObject(obj *object) error {
 	if restored {
 		m.stats.Restores++
 	}
+	// Drop, then write: the drop may reset the old copy's zones, which the
+	// rewrite's least-worn choice then sees.
 	m.dropExtents(obj)
 	// Rotate to a fresh zone: appending into the aging open zone would give
 	// the rewrite less than a full retention period.
 	m.openZone[obj.class] = -1
-	if _, err := m.appendObject(obj, obj.size, true); err != nil {
+	if n, err := m.write([]units.Bytes{obj.size}, obj.class, true); n == 0 {
+		// The old copy is gone and the new one left no trace: the object is
+		// lost, and reads get ErrExpired.
+		obj.state = objExpired
 		return fmt.Errorf("core: refresh write: %w", err)
 	}
+	m.addExtents(obj, 0, m.putEnds[0], m.zoned.Device().Spec().WriteBW)
 	obj.deadline = m.objectDeadline(obj)
 	m.stats.Refreshes++
 	m.stats.BytesRefreshed += obj.size
@@ -1180,8 +1066,10 @@ func (m *MRM) Compact(threshold float64) (int, error) {
 		ok := true
 		for _, obj := range movers {
 			if err := m.refreshObject(obj); err != nil {
-				// Out of space mid-compaction: stop; nothing is lost, the
-				// zone simply stays uncompacted.
+				// A failed move (no free zone, or a device fault) has
+				// expired the object, as a failed refresh in Tick does: its
+				// old copy was dropped first. Compaction stops there, and
+				// the zones reclaimed so far are reported without an error.
 				ok = false
 				break
 			}
@@ -1207,9 +1095,10 @@ func (m *MRM) Compact(threshold float64) (int, error) {
 // non-empty zone, an object stamped with the current epoch is live, every one
 // of its extents still validates (a missed epoch bump or stamp clear shows
 // here) and its run summary and end are those of its validated spans, zone
-// membership matches object extents, and the zoned controller's indexes (free
-// bytes, expiry deadlines, least-worn empty zone) agree with a scan of its
-// zones. Tests call it after workloads.
+// membership matches object extents, no zone is open but unwritten, each
+// class's open zone is an open zone of that class, and the zoned controller's
+// indexes (free bytes, expiry deadlines, least-worn empty zone) agree with a
+// scan of its zones. Tests call it after workloads.
 func (m *MRM) CheckInvariants() error {
 	// Object extents vs zone membership. Iterate objects in sorted-id order
 	// so the first violation reported is the same in every run.
@@ -1292,6 +1181,16 @@ func (m *MRM) CheckInvariants() error {
 		}
 		if got, want := len(m.zones[zid].objects), len(members[zid]); got != want {
 			return fmt.Errorf("core: zone %d membership %d != extent owners %d", zid, got, want)
+		}
+		if zn, _ := m.zoned.Zone(zid); zn.State == controller.ZoneOpen && zn.WritePtr == 0 {
+			return fmt.Errorf("core: zone %d is open but unwritten", zid)
+		}
+	}
+	for c := range m.cfg.Classes {
+		if zid := m.openZone[Class(c)]; zid >= 0 {
+			if zn, _ := m.zoned.Zone(zid); zn.State != controller.ZoneOpen || m.zones[zid].class != Class(c) {
+				return fmt.Errorf("core: class %d fills zone %d, which is %v and of class %d", c, zid, zn.State, m.zones[zid].class)
+			}
 		}
 	}
 	return m.zoned.CheckInvariants()

@@ -314,10 +314,11 @@ func TestGetRefsCachedRefsFollowInvalidation(t *testing.T) {
 	}
 }
 
-// TestGetRefsDeclinesEmptySummary pins the run path on a live object with
-// no extents — a refresh whose rewrite found no free zone leaves one. Its
-// summary is empty, so getRefsQuiet must decline before charging anything
-// and leave its ref uncached, and GetRefs must still read it as Get does.
+// TestGetRefsDeclinesEmptySummary pins the run path on an object whose
+// refresh found no free zone: the rewrite leaves no trace, so the object is
+// left expired with no extents and an empty summary. getRefsQuiet must
+// decline it before charging anything and leave its ref uncached, and GetRefs
+// and Get must report ErrExpired for it.
 func TestGetRefsDeclinesEmptySummary(t *testing.T) {
 	c := &cachedRefTwins{t: t, m: newFuzzMRM(t), o: newFuzzMRM(t)}
 	var ids []ObjectID
@@ -354,21 +355,29 @@ func TestGetRefsDeclinesEmptySummary(t *testing.T) {
 		}
 		return nil
 	})
-	empty := c.m.objects[ids[1]]
-	if empty.state != objLive || len(empty.extents) != 0 {
-		t.Fatalf("setup: object %d is %v with %d extents, want live with none", ids[1], empty.state, len(empty.extents))
+	lost := c.m.objects[ids[1]]
+	if lost.state != objExpired || len(lost.extents) != 0 {
+		t.Fatalf("object %d is %v with %d extents, want expired with none", ids[1], lost.state, len(lost.extents))
+	}
+	if _, err := c.m.Get(ids[1]); !errors.Is(err, ErrExpired) {
+		t.Fatalf("Get after the failed refresh: %v, want ErrExpired", err)
+	}
+	if err := c.m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	before, energy := c.m.zoned.Device().Stats(), c.m.Energy()
 	if c.m.getRefsQuiet(c.refs) {
-		t.Fatal("getRefsQuiet took an object with no extents")
+		t.Fatal("getRefsQuiet took an expired object")
 	}
 	if c.m.zoned.Device().Stats() != before || !sameEnergy(c.m.Energy(), energy) {
 		t.Fatal("getRefsQuiet charged reads before declining")
 	}
 	for i := 0; i < 3; i++ {
-		c.read(fmt.Sprintf("read %d", i))
+		if n, err := c.read(fmt.Sprintf("read %d", i)); n != 1 || !errors.Is(err, ErrExpired) {
+			t.Fatalf("read %d: GetRefs = (%d, %v), want (1, ErrExpired)", i, n, err)
+		}
 		if r := c.refs[1]; r.key == c.m.refKey() {
-			t.Fatalf("read %d: the ref to the object with no extents is cached: %+v", i, r)
+			t.Fatalf("read %d: the ref to the expired object is cached: %+v", i, r)
 		}
 	}
 }

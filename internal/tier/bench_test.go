@@ -62,3 +62,79 @@ func BenchmarkGetPlanned(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkManagerPutBatch measures the manager's write path at the serving
+// memory shapes, one batch of eight 8 MiB KV pages stored and then deleted
+// per op: /hbm on 192 GiB of HBM under static placement (HBMOnly), /hbm+mrm
+// on 24 GiB of HBM plus 384 GiB of MRM in 64 MiB zones under retention-aware
+// placement (HBMPlusMRM), where the pages land on the MRM tier. Deleted MRM
+// objects leave core's deadline heap only when a Tick pops them, so that
+// manager is rebuilt, off the clock, every 4,096 batches to keep memory flat.
+func BenchmarkManagerPutBatch(b *testing.B) {
+	hbmOnly := func() *Manager {
+		spec := memdev.HBM3E
+		spec.Capacity = 192 * units.GiB
+		hbm, err := NewDeviceTier("hbm", spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := NewManager(StaticPolicy{}, hbm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	hbmMRM := func() *Manager {
+		spec := memdev.HBM3E
+		spec.Capacity = 24 * units.GiB
+		hbm, err := NewDeviceTier("hbm", spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Capacity = 384 * units.GiB
+		cfg.ZoneSize = 64 * units.MiB
+		mr, err := core.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := NewManager(RetentionAwarePolicy{}, hbm, NewMRMTier("mrm", mr))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	metas := make([]Meta, 8)
+	for i := range metas {
+		metas[i] = Meta{Kind: core.KindKVCache, Size: 8 * units.MiB, Lifetime: time.Hour, ReadHot: true}
+	}
+	ids := make([]ObjectID, len(metas))
+	lats := make([]time.Duration, len(metas))
+	tiers := make([]int, len(metas))
+	for _, bc := range []struct {
+		name string
+		mk   func() *Manager
+		tier int
+	}{{"hbm", hbmOnly, 0}, {"hbm+mrm", hbmMRM, 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := bc.mk()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%4096 == 4095 {
+					b.StopTimer()
+					m = bc.mk()
+					b.StartTimer()
+				}
+				if n, err := m.PutBatch(metas, ids, lats, tiers); err != nil || n != len(metas) || tiers[0] != bc.tier {
+					b.Fatalf("PutBatch stored %d of %d on tier %d: %v", n, len(metas), tiers[0], err)
+				}
+				for _, id := range ids {
+					if err := m.Delete(id); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

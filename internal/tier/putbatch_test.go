@@ -2,7 +2,9 @@ package tier
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,10 +14,11 @@ import (
 	"mrm/internal/units"
 )
 
-// compareManagerPutTwins drives seq with serial Puts (stopping at the first
-// error) and bat with one PutBatch over the same metas, then requires
+// compareManagerPutTwins drives seq with one-object Puts (stopping at the
+// first error) and bat with one PutBatch over the same metas, then requires
 // identical done counts, errors, ids, latencies, tier choices, id-allocation
-// state, free space, backend traffic, and backend energy.
+// state, free space, backend traffic, and backend energy, and every backend's
+// invariants to hold on both.
 func compareManagerPutTwins(t *testing.T, label string, seq, bat *Manager, metas []Meta) (int, error) {
 	t.Helper()
 	seqIDs := make([]ObjectID, len(metas))
@@ -39,15 +42,15 @@ func compareManagerPutTwins(t *testing.T, label string, seq, bat *Manager, metas
 	batTiers := make([]int, len(metas))
 	batDone, batErr := bat.PutBatch(metas, batIDs, batLats, batTiers)
 	if batDone != seqDone {
-		t.Fatalf("%s: done %d != sequential %d (err %v vs %v)", label, batDone, seqDone, batErr, seqErr)
+		t.Fatalf("%s: done %d != one at a time %d (err %v vs %v)", label, batDone, seqDone, batErr, seqErr)
 	}
 	if (batErr == nil) != (seqErr == nil) ||
 		(batErr != nil && batErr.Error() != seqErr.Error()) {
-		t.Fatalf("%s: err %q != sequential %q", label, batErr, seqErr)
+		t.Fatalf("%s: err %q != one at a time %q", label, batErr, seqErr)
 	}
 	for i := 0; i < seqDone; i++ {
 		if batIDs[i] != seqIDs[i] || batLats[i] != seqLats[i] || batTiers[i] != seqTiers[i] {
-			t.Fatalf("%s obj %d: (id %d, lat %v, tier %d) != sequential (id %d, lat %v, tier %d)",
+			t.Fatalf("%s obj %d: (id %d, lat %v, tier %d) != one at a time (id %d, lat %v, tier %d)",
 				label, i, batIDs[i], batLats[i], batTiers[i], seqIDs[i], seqLats[i], seqTiers[i])
 		}
 	}
@@ -57,36 +60,97 @@ func compareManagerPutTwins(t *testing.T, label string, seq, bat *Manager, metas
 	if sn, bn := seq.NumObjects(), bat.NumObjects(); sn != bn {
 		t.Fatalf("%s: object count diverged: %d != %d", label, sn, bn)
 	}
-	si, bi := seq.Tiers(), bat.Tiers()
-	for ti := range si {
-		if si[ti].Free != bi[ti].Free {
-			t.Fatalf("%s tier %d: free %v != sequential %v", label, ti, bi[ti].Free, si[ti].Free)
-		}
-		sr, sw := seq.tiers[ti].Traffic()
-		br, bw := bat.tiers[ti].Traffic()
-		if sr != br || sw != bw {
-			t.Fatalf("%s tier %d: traffic (%v,%v) != (%v,%v)", label, ti, br, bw, sr, sw)
-		}
-		if se, be := seq.tiers[ti].Energy(), bat.tiers[ti].Energy(); se != be {
-			t.Fatalf("%s tier %d: energy %v != sequential %v", label, ti, be, se)
-		}
-	}
+	sameTierState(t, label, bat, seq)
+	checkBackends(t, label, seq)
+	checkBackends(t, label, bat)
 	return batDone, batErr
 }
 
-// twinPutManagers builds two identical HBM+MRM managers for write-path twin
-// tests: a small HBM tier that fills quickly so batches straddle tiers, and a
-// larger MRM tier behind it.
-func twinPutManagers(t *testing.T, policy Policy, hbmCap units.Bytes) (*Manager, *Manager) {
+// sameTierState requires every tier of m to report pre's free bytes,
+// traffic, and energy.
+func sameTierState(t *testing.T, label string, m, pre *Manager) {
 	t.Helper()
-	mk := func() *Manager {
+	mi, pi := m.Tiers(), pre.Tiers()
+	for ti := range pi {
+		if mi[ti].Free != pi[ti].Free {
+			t.Fatalf("%s tier %d: free %v, twin %v", label, ti, mi[ti].Free, pi[ti].Free)
+		}
+		mr, mw := m.tiers[ti].Traffic()
+		pr, pw := pre.tiers[ti].Traffic()
+		if mr != pr || mw != pw {
+			t.Fatalf("%s tier %d: traffic (%v,%v), twin (%v,%v)", label, ti, mr, mw, pr, pw)
+		}
+		if me, pe := m.tiers[ti].Energy(), pre.tiers[ti].Energy(); me != pe {
+			t.Fatalf("%s tier %d: energy %v, twin %v", label, ti, me, pe)
+		}
+	}
+}
+
+// checkBackends runs every backend's invariant checker.
+func checkBackends(t *testing.T, label string, m *Manager) {
+	t.Helper()
+	for i, b := range m.Backends() {
+		var err error
+		switch b := b.(type) {
+		case *DeviceTier:
+			err = b.CheckInvariants()
+		case *MRMTier:
+			err = b.MRM().CheckInvariants()
+		}
+		if err != nil {
+			t.Fatalf("%s tier %d: %v", label, i, err)
+		}
+	}
+}
+
+// storeManagerPrefix runs PutBatch(metas[:n]) on pre, which must store all
+// of it.
+func storeManagerPrefix(t *testing.T, label string, pre *Manager, metas []Meta, n int) {
+	t.Helper()
+	if got, err := pre.PutBatch(metas[:n], make([]ObjectID, n), make([]time.Duration, n), make([]int, n)); got != n || err != nil {
+		t.Fatalf("%s: prefix twin stored %d of %d: %v", label, got, n, err)
+	}
+}
+
+// samePlacement requires m's placement state to equal pre's: the next id,
+// every placed object's tier, handle and meta, and every device tier's free
+// list, free bytes and handles. With exact set, where the failure issued no
+// device write, every tier's free bytes, traffic, and energy must match too.
+func samePlacement(t *testing.T, label string, m, pre *Manager, exact bool) {
+	t.Helper()
+	if m.nextID != pre.nextID || !maps.Equal(m.objects, pre.objects) {
+		t.Fatalf("%s: next id %d, objects %v; prefix twin %d, %v", label, m.nextID, m.objects, pre.nextID, pre.objects)
+	}
+	for ti, b := range m.tiers {
+		d, ok := b.(*DeviceTier)
+		if !ok {
+			continue
+		}
+		p := pre.tiers[ti].(*DeviceTier)
+		if !slices.Equal(d.free, p.free) || d.freeB != p.freeB || d.nextID != p.nextID || !maps.Equal(d.objects, p.objects) {
+			t.Fatalf("%s tier %d: free list %v (%v), next handle %d; prefix twin %v (%v), %d",
+				label, ti, d.free, d.freeB, d.nextID, p.free, p.freeB, p.nextID)
+		}
+	}
+	if exact {
+		sameTierState(t, label+" vs prefix twin", m, pre)
+	}
+}
+
+// putManagers builds n identical HBM+MRM managers for write-path twin tests:
+// a small HBM tier that fills quickly so batches straddle tiers, and a larger
+// MRM tier behind it.
+func putManagers(t *testing.T, policy Policy, hbmCap units.Bytes, n int) []*Manager {
+	t.Helper()
+	out := make([]*Manager, n)
+	for i := range out {
 		m, err := NewManager(policy, smallHBM(t, hbmCap), smallMRMTier(t, units.GiB))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		out[i] = m
 	}
-	return mk(), mk()
+	return out
 }
 
 func kvMeta(size units.Bytes) Meta {
@@ -96,7 +160,9 @@ func kvMeta(size units.Bytes) Meta {
 // TestManagerPutBatchMatchesPuts covers the clean path and validation
 // failures: single-tier runs, batches whose placements straddle tiers (run
 // splits), mixed data kinds (MRM-side write-option run splits), zero-size
-// objects mid-batch, and batches that run every tier out of room.
+// objects mid-batch, and batches that run every tier out of room. Each batch
+// is checked against one-object Puts and against a prefix twin that stored
+// only the objects before the failure.
 func TestManagerPutBatchMatchesPuts(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -119,18 +185,24 @@ func TestManagerPutBatchMatchesPuts(t *testing.T) {
 		{"no-tier-fits", []Meta{kvMeta(512 * units.KiB), kvMeta(4 * units.GiB), kvMeta(512 * units.KiB)}},
 	}
 	for _, tc := range cases {
-		seq, bat := twinPutManagers(t, StaticPolicy{}, 4*units.MiB)
-		comparePutTwinsBothWays(t, tc.name, seq, bat, tc.metas)
+		comparePutTwinsBothWays(t, tc.name, putManagers(t, StaticPolicy{}, 4*units.MiB, 3), tc.metas)
 	}
 }
 
-// comparePutTwinsBothWays runs the twin comparison and then a follow-up
-// single Put on each manager, so divergence that only shows up in later
+// comparePutTwinsBothWays runs the twin comparison on ms[0] and ms[1] and
+// the prefix-twin comparison on ms[1] and ms[2], then repeats both for a
+// follow-up single object, so divergence that only shows up in later
 // behavior (free-list shape, id allocation) is caught too.
-func comparePutTwinsBothWays(t *testing.T, label string, seq, bat *Manager, metas []Meta) {
+func comparePutTwinsBothWays(t *testing.T, label string, ms []*Manager, metas []Meta) {
 	t.Helper()
-	compareManagerPutTwins(t, label, seq, bat, metas)
-	compareManagerPutTwins(t, label+"/followup", seq, bat, []Meta{kvMeta(128 * units.KiB)})
+	seq, bat, pre := ms[0], ms[1], ms[2]
+	done, _ := compareManagerPutTwins(t, label, seq, bat, metas)
+	storeManagerPrefix(t, label, pre, metas, done)
+	samePlacement(t, label, bat, pre, true)
+	followup := []Meta{kvMeta(128 * units.KiB)}
+	compareManagerPutTwins(t, label+"/followup", seq, bat, followup)
+	storeManagerPrefix(t, label+"/followup", pre, followup, 1)
+	samePlacement(t, label+"/followup", bat, pre, true)
 }
 
 // TestManagerPutBatchRetentionAware repeats the twin check under the
@@ -143,59 +215,76 @@ func TestManagerPutBatchRetentionAware(t *testing.T) {
 		{Kind: core.KindActivation, Size: 512 * units.KiB, Lifetime: time.Millisecond},
 		{Kind: core.KindKVCache, Size: 4 * units.MiB, Lifetime: 90 * 24 * time.Hour},
 	}
-	seq, bat := twinPutManagers(t, RetentionAwarePolicy{}, 64*units.MiB)
-	comparePutTwinsBothWays(t, "retention-aware", seq, bat, metas)
+	comparePutTwinsBothWays(t, "retention-aware", putManagers(t, RetentionAwarePolicy{}, 64*units.MiB, 3), metas)
 }
 
-// TestManagerPutBatchUnderWriteFaults is the manager-level write-fault
-// equivalence gate: with program failures armed on every backend, serial Put
-// and PutBatch twins must surface the error at the same object index with
-// identical accounting and identical residual state — across many random
-// rounds interleaved with Ticks.
+// TestManagerPutBatchUnderWriteFaults is the manager-level write-fault gate:
+// with program failures armed on every backend, one-object Puts and a batch
+// must surface the error at the same object index with identical
+// accounting, and the batch must leave the placements, device free lists and
+// handles of a prefix twin that stored only the objects before the failure,
+// with every backend's invariants holding. Each round starts three managers
+// from the same random history of puts, deletes and Ticks under the same
+// fault streams.
 func TestManagerPutBatchUnderWriteFaults(t *testing.T) {
-	seq, bat := twinPutManagers(t, StaticPolicy{}, 32*units.MiB)
-	faults := memdev.FaultConfig{Seed: 17, WriteFaultRate: 0.1}
-	for _, m := range []*Manager{seq, bat} {
-		for _, b := range m.Backends() {
-			b.(Faultable).SetFaults(faults)
-		}
-	}
 	rng := rand.New(rand.NewSource(9))
 	sawFault := false
 	for round := 0; round < 50; round++ {
+		faults := memdev.FaultConfig{Seed: uint64(17 + round), WriteFaultRate: 0.1}
+		var history []func(m *Manager)
+		for k := rng.Intn(8); k > 0; k-- {
+			meta := kvMeta(units.Bytes(1+rng.Intn(16)) * 256 * units.KiB)
+			del := ObjectID(rng.Intn(6))
+			dt := time.Duration(rng.Int63n(int64(time.Minute)))
+			history = append(history, func(m *Manager) {
+				_, _, _ = m.Put(meta)
+				_ = m.Delete(del)
+				_ = m.Tick(dt)
+			})
+		}
+		ms := putManagers(t, StaticPolicy{}, 32*units.MiB, 3)
+		for _, m := range ms {
+			for _, b := range m.Backends() {
+				b.(Faultable).SetFaults(faults)
+			}
+			for _, h := range history {
+				h(m)
+			}
+		}
 		n := 1 + rng.Intn(6)
 		metas := make([]Meta, n)
 		for i := range metas {
 			metas[i] = kvMeta(units.Bytes(1+rng.Intn(16)) * 256 * units.KiB)
 		}
-		if _, err := compareManagerPutTwins(t, "round", seq, bat, metas); errors.Is(err, fault.ErrUncorrectable) {
+		done, err := compareManagerPutTwins(t, "round", ms[0], ms[1], metas)
+		if errors.Is(err, fault.ErrUncorrectable) {
 			sawFault = true
 		}
-		dt := time.Duration(rng.Int63n(int64(time.Minute)))
-		if err := seq.Tick(dt); err != nil {
-			t.Fatal(err)
-		}
-		if err := bat.Tick(dt); err != nil {
-			t.Fatal(err)
-		}
+		storeManagerPrefix(t, "round", ms[2], metas, done)
+		samePlacement(t, "round", ms[1], ms[2], false)
 	}
 	if !sawFault {
-		t.Fatal("fault rate never fired; the equivalence test exercised nothing")
+		t.Fatal("fault rate never fired; the test exercised nothing")
 	}
 }
 
 // TestDeviceTierPutBatchRewindsFreeList pins the device-error rollback: after
-// a mid-batch program failure, the free list, free-byte count, and id space
-// must match a serial caller's exactly — including the failing Put's
-// allocation, which the serial path leaves carved out.
+// a mid-batch program failure, the free list, free-byte count, id space and
+// device counters must match one-object Puts exactly, and the free list,
+// free bytes, handles and objects must match a prefix twin that stored only
+// the objects before the failure: the failing object's span is back on the
+// free list.
 func TestDeviceTierPutBatchRewindsFreeList(t *testing.T) {
 	faults := memdev.FaultConfig{Seed: 3, WriteFaultRate: 0.2}
 	rng := rand.New(rand.NewSource(31))
+	failed := 0
 	for round := 0; round < 40; round++ {
 		seq := smallHBM(t, 64*units.MiB)
 		bat := smallHBM(t, 64*units.MiB)
+		pre := smallHBM(t, 64*units.MiB)
 		seq.SetFaults(faults)
 		bat.SetFaults(faults)
+		pre.SetFaults(faults)
 		n := 1 + rng.Intn(8)
 		metas := make([]Meta, n)
 		for i := range metas {
@@ -212,32 +301,81 @@ func TestDeviceTierPutBatchRewindsFreeList(t *testing.T) {
 		lats := make([]time.Duration, n)
 		batDone, batErr := bat.PutBatch(metas, handles, lats)
 		if batDone != seqDone {
-			t.Fatalf("round %d: done %d != sequential %d", round, batDone, seqDone)
+			t.Fatalf("round %d: done %d != one at a time %d", round, batDone, seqDone)
 		}
 		if (batErr == nil) != (seqErr == nil) ||
 			(batErr != nil && batErr.Error() != seqErr.Error()) {
-			t.Fatalf("round %d: err %q != sequential %q", round, batErr, seqErr)
+			t.Fatalf("round %d: err %q != one at a time %q", round, batErr, seqErr)
 		}
-		if len(seq.free) != len(bat.free) {
-			t.Fatalf("round %d: free-list length %d != sequential %d", round, len(bat.free), len(seq.free))
+		if batDone < n {
+			failed++
 		}
-		for i := range seq.free {
-			if seq.free[i] != bat.free[i] {
-				t.Fatalf("round %d free[%d]: %+v != sequential %+v", round, i, bat.free[i], seq.free[i])
-			}
+		if !slices.Equal(seq.free, bat.free) {
+			t.Fatalf("round %d: free list %+v != one at a time %+v", round, bat.free, seq.free)
 		}
 		if seq.freeB != bat.freeB || seq.nextID != bat.nextID {
-			t.Fatalf("round %d: (freeB %v, nextID %d) != sequential (%v, %d)",
+			t.Fatalf("round %d: (freeB %v, nextID %d) != one at a time (%v, %d)",
 				round, bat.freeB, bat.nextID, seq.freeB, seq.nextID)
 		}
 		if ss, bs := seq.dev.Stats(), bat.dev.Stats(); ss != bs {
-			t.Fatalf("round %d: device stats %+v != sequential %+v", round, bs, ss)
+			t.Fatalf("round %d: device stats %+v != one at a time %+v", round, bs, ss)
+		}
+		if got, err := pre.PutBatch(metas[:batDone], handles, lats); got != batDone || err != nil {
+			t.Fatalf("round %d: prefix twin stored %d of %d: %v", round, got, batDone, err)
+		}
+		if !slices.Equal(pre.free, bat.free) || pre.freeB != bat.freeB || pre.nextID != bat.nextID || !maps.Equal(pre.objects, bat.objects) {
+			t.Fatalf("round %d: free list %+v (%v), next handle %d; prefix twin %+v (%v), %d",
+				round, bat.free, bat.freeB, bat.nextID, pre.free, pre.freeB, pre.nextID)
+		}
+		if err := bat.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no batch failed; the fault rate exercised nothing")
+	}
+}
+
+// TestDeviceTierFailedPutsKeepFreeList fails every device write on two
+// HBM3E tiers, three 1 GiB objects through Put on one and through PutBatch
+// on the other: each failed object's span must go back to the free list, so
+// Info().Free keeps equal to the list's sum and CheckInvariants passes.
+func TestDeviceTierFailedPutsKeepFreeList(t *testing.T) {
+	put := func(d *DeviceTier, m Meta) error { _, _, err := d.Put(m); return err }
+	putBatch := func(d *DeviceTier, m Meta) error {
+		_, err := d.PutBatch([]Meta{m}, make([]uint64, 1), make([]time.Duration, 1))
+		return err
+	}
+	for _, tc := range []struct {
+		name  string
+		store func(*DeviceTier, Meta) error
+	}{{"Put", put}, {"PutBatch", putBatch}} {
+		name, store := tc.name, tc.store
+		d, err := NewDeviceTier("hbm", memdev.HBM3E)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetFaults(memdev.FaultConfig{Seed: 1, WriteFaultRate: 1})
+		for i := 0; i < 3; i++ {
+			if err := store(d, kvMeta(units.GiB)); !errors.Is(err, fault.ErrUncorrectable) {
+				t.Fatalf("%s %d: %v, want a write fault", name, i, err)
+			}
+		}
+		var listed units.Bytes
+		for _, f := range d.free {
+			listed += f.size
+		}
+		if free := d.Info().Free; free != listed || free != memdev.HBM3E.Capacity {
+			t.Fatalf("%s: Info().Free %v, free list sums to %v, capacity %v", name, free, listed, memdev.HBM3E.Capacity)
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }
 
 func TestManagerPutBatchShortSlices(t *testing.T) {
-	m, _ := twinPutManagers(t, StaticPolicy{}, 4*units.MiB)
+	m := putManagers(t, StaticPolicy{}, 4*units.MiB, 1)[0]
 	metas := []Meta{kvMeta(units.KiB), kvMeta(units.KiB)}
 	if _, err := m.PutBatch(metas, make([]ObjectID, 1), make([]time.Duration, 2), make([]int, 2)); err == nil {
 		t.Fatal("want error for short ids slice")

@@ -49,11 +49,13 @@ type Policy interface {
 	Place(m Meta, tiers []Info) (int, error)
 }
 
-// Backend is a memory tier implementation.
+// Backend is a memory tier implementation. Put stores one object, as a
+// one-object PutBatch (BatchPutter) would.
 type Backend interface {
 	Name() string
 	Info() Info
 	Put(m Meta) (handle uint64, lat time.Duration, err error)
+	BatchPutter
 	Get(handle uint64) (lat time.Duration, err error)
 	Delete(handle uint64) error
 	Tick(dt time.Duration) error
@@ -119,15 +121,14 @@ type Housekeeper interface {
 	NextDeadline() (time.Duration, bool)
 }
 
-// BatchPutter is implemented by backends that can coalesce a sequence of Puts
-// into one vectored device access. The contract mirrors BatchGetter on the
-// write side: PutBatch(metas, ...) must perform exactly the validation,
-// allocation decisions, device writes, fault events, and accounting of calling
-// Put(m) for each meta in order and stopping at the first error — including
-// any partial state a failed serial Put leaves behind. handles[i] and lats[i]
-// (both slices at least len(metas) long) receive object i's backend handle and
-// write latency. It returns the number of objects fully stored and the error
-// the first-failing Put would have returned.
+// BatchPutter is the write half of every Backend: PutBatch stores the metas
+// in order as one vectored device access. handles[i] and lats[i] (both slices
+// at least len(metas) long) receive object i's backend handle and write
+// latency. It returns the number of objects stored; when that number i is <
+// len(metas), the error says why object i failed, objects [0, i) are stored
+// exactly as PutBatch(metas[:i]) would store them, and object i and every
+// later one leave no trace in the backend's bookkeeping. Device writes already
+// issued stay charged.
 type BatchPutter interface {
 	PutBatch(metas []Meta, handles []uint64, lats []time.Duration) (int, error)
 }
@@ -138,15 +139,13 @@ type BatchPutter interface {
 type DeviceTier struct {
 	name string
 	dev  *memdev.Device
-	// free is a sorted list of free extents.
-	free     []span
-	objects  map[uint64]span
-	nextID   uint64
-	freeB    units.Bytes
-	spanBuf  []memdev.Span   // scratch for GetBatch/PutBatch, reused across calls
-	resBuf   []memdev.Result // scratch for GetBatch/PutBatch, reused across calls
-	freeSnap []span          // scratch for PutBatch rollback, reused across calls
-	allocBuf []span          // scratch for PutBatch planning, reused across calls
+	// free is a sorted, coalesced list of free extents.
+	free    []span
+	objects map[uint64]span
+	nextID  uint64
+	freeB   units.Bytes
+	spanBuf []memdev.Span   // scratch for GetBatch/PutBatch, reused across calls
+	resBuf  []memdev.Result // scratch for PutBatch, reused across calls
 }
 
 type span struct {
@@ -184,8 +183,7 @@ func (d *DeviceTier) Info() Info {
 }
 
 // alloc carves size bytes out of the free list first-fit, returning the
-// allocated span. The free list is mutated exactly as a serial Put would
-// before its device write; freeB is the caller's to update on commit.
+// allocated span. freeB is the caller's to update on commit.
 func (d *DeviceTier) alloc(size units.Bytes) (span, bool) {
 	for i, f := range d.free {
 		if f.size >= size {
@@ -201,83 +199,112 @@ func (d *DeviceTier) alloc(size units.Bytes) (span, bool) {
 	return span{}, false
 }
 
-// Put allocates and writes an object.
-func (d *DeviceTier) Put(m Meta) (uint64, time.Duration, error) {
-	if m.Size == 0 {
-		return 0, 0, fmt.Errorf("tier: zero-size object")
+// release returns sp to the free list, coalescing it with its neighbours.
+// freeB is the caller's to update.
+func (d *DeviceTier) release(sp span) {
+	i := sort.Search(len(d.free), func(i int) bool { return d.free[i].addr > sp.addr })
+	d.free = append(d.free, span{})
+	copy(d.free[i+1:], d.free[i:])
+	d.free[i] = sp
+	if i+1 < len(d.free) && d.free[i].addr+d.free[i].size == d.free[i+1].addr {
+		d.free[i].size += d.free[i+1].size
+		d.free = append(d.free[:i+1], d.free[i+2:]...)
 	}
-	sp, ok := d.alloc(m.Size)
-	if !ok {
-		return 0, 0, fmt.Errorf("tier: %s full (need %v, free %v)", d.name, m.Size, d.freeB)
+	if i > 0 && d.free[i-1].addr+d.free[i-1].size == d.free[i].addr {
+		d.free[i-1].size += d.free[i].size
+		d.free = append(d.free[:i], d.free[i+1:]...)
 	}
-	res, err := d.dev.WriteAt(sp.addr, sp.size)
-	if err != nil {
-		return 0, 0, err
-	}
-	id := d.nextID
-	d.nextID++
-	d.objects[id] = sp
-	d.freeB -= m.Size
-	return id, res.Latency, nil
 }
 
-// PutBatch allocates and writes the listed objects as one vectored device
-// access with sequential-Put equivalence (see BatchPutter). Allocations are
-// planned against the live free list, the writes issue as a single WriteSpans
-// call, and on a device error the free list is rewound to exactly the state a
-// serial caller would observe: the failing Put's allocation stays carved out
-// (Put mutates the free list before its device write and does not roll back),
-// while allocations planned for never-attempted Puts are undone.
+// Put allocates and writes one object: a one-object PutBatch.
+func (d *DeviceTier) Put(m Meta) (uint64, time.Duration, error) {
+	var h [1]uint64
+	var lat [1]time.Duration
+	if _, err := d.PutBatch([]Meta{m}, h[:], lat[:]); err != nil {
+		return 0, 0, err
+	}
+	return h[0], lat[0], nil
+}
+
+// PutBatch allocates the listed objects first-fit, in order, and writes them
+// as one vectored device access (see BatchPutter). An object that does not
+// fit ends the batch before any write. On a device fault the spans carved for
+// the faulted object and every later one go back to the free list, latest
+// first, which restores the list exactly.
 func (d *DeviceTier) PutBatch(metas []Meta, handles []uint64, lats []time.Duration) (int, error) {
 	if len(handles) < len(metas) || len(lats) < len(metas) {
 		return 0, fmt.Errorf("tier: %s: PutBatch output slices shorter than metas", d.name)
 	}
-	d.freeSnap = append(d.freeSnap[:0], d.free...)
-	d.allocBuf = d.allocBuf[:0]
 	d.spanBuf = d.spanBuf[:0]
-	freeShadow := d.freeB
-	var valErr error
+	free := d.freeB
+	var err error
 	for _, m := range metas {
 		if m.Size == 0 {
-			valErr = fmt.Errorf("tier: zero-size object")
+			err = fmt.Errorf("tier: zero-size object")
 			break
 		}
 		sp, ok := d.alloc(m.Size)
 		if !ok {
-			// The serial path reports the free-byte count as of its own turn.
-			valErr = fmt.Errorf("tier: %s full (need %v, free %v)", d.name, m.Size, freeShadow)
+			err = fmt.Errorf("tier: %s full (need %v, free %v)", d.name, m.Size, free)
 			break
 		}
-		d.allocBuf = append(d.allocBuf, sp)
 		d.spanBuf = append(d.spanBuf, memdev.Span{Addr: sp.addr, Size: sp.size})
-		freeShadow -= m.Size
+		free -= m.Size
 	}
-	n := len(d.allocBuf)
+	n := len(d.spanBuf)
 	if cap(d.resBuf) < n {
 		d.resBuf = make([]memdev.Result, max(n, 2*cap(d.resBuf)))
 	}
-	done, derr := d.dev.WriteSpans(d.spanBuf, d.resBuf[:n])
-	if derr != nil {
-		// Rewind to the snapshot and replay the allocations the serial path
-		// performed: every completed write plus the failing one. Allocation is
-		// deterministic, so the replay reproduces the exact free-list shape.
-		d.free = append(d.free[:0], d.freeSnap...)
-		for j := 0; j <= done && j < n; j++ {
-			d.alloc(d.allocBuf[j].size)
+	done, werr := d.dev.WriteSpans(d.spanBuf, d.resBuf[:n])
+	if werr != nil {
+		err = werr
+		for j := n - 1; j >= done; j-- {
+			d.release(span{addr: d.spanBuf[j].Addr, size: d.spanBuf[j].Size})
 		}
 	}
-	for j := 0; j < done; j++ {
-		id := d.nextID
+	for j, sp := range d.spanBuf[:done] {
+		d.objects[d.nextID] = span{addr: sp.Addr, size: sp.Size}
+		d.freeB -= sp.Size
+		handles[j], lats[j] = d.nextID, d.resBuf[j].Latency
 		d.nextID++
-		d.objects[id] = d.allocBuf[j]
-		d.freeB -= d.allocBuf[j].size
-		handles[j] = id
-		lats[j] = d.resBuf[j].Latency
 	}
-	if derr != nil {
-		return done, derr
+	return done, err
+}
+
+// CheckInvariants verifies the allocator: the free list is sorted,
+// non-overlapping and coalesced, freeB is its sum, and the objects and the
+// free spans tile the capacity exactly. Tests call it after workloads.
+func (d *DeviceTier) CheckInvariants() error {
+	var free units.Bytes
+	spans := make([]span, 0, len(d.free)+len(d.objects))
+	for i, f := range d.free {
+		if f.size == 0 {
+			return fmt.Errorf("tier: %s: empty free span at %d", d.name, f.addr)
+		}
+		if i > 0 && d.free[i-1].addr+d.free[i-1].size >= f.addr {
+			return fmt.Errorf("tier: %s: free spans %+v and %+v overlap, touch, or are out of order", d.name, d.free[i-1], f)
+		}
+		free += f.size
+		spans = append(spans, f)
 	}
-	return done, valErr
+	if free != d.freeB {
+		return fmt.Errorf("tier: %s: free counter %v != free-list sum %v", d.name, d.freeB, free)
+	}
+	for _, sp := range d.objects {
+		spans = append(spans, sp)
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].addr < spans[j].addr })
+	var end units.Bytes
+	for _, sp := range spans {
+		if sp.addr != end {
+			return fmt.Errorf("tier: %s: span %+v does not start where the last one ended (%v)", d.name, sp, end)
+		}
+		end += sp.size
+	}
+	if c := d.dev.Spec().Capacity; end != c {
+		return fmt.Errorf("tier: %s: objects and free spans cover %v of %v", d.name, end, c)
+	}
+	return nil
 }
 
 // Get reads an object.
@@ -342,19 +369,7 @@ func (d *DeviceTier) Delete(handle uint64) error {
 	}
 	delete(d.objects, handle)
 	d.freeB += sp.size
-	i := sort.Search(len(d.free), func(i int) bool { return d.free[i].addr > sp.addr })
-	d.free = append(d.free, span{})
-	copy(d.free[i+1:], d.free[i:])
-	d.free[i] = sp
-	// Coalesce with neighbours.
-	if i+1 < len(d.free) && d.free[i].addr+d.free[i].size == d.free[i+1].addr {
-		d.free[i].size += d.free[i+1].size
-		d.free = append(d.free[:i+1], d.free[i+2:]...)
-	}
-	if i > 0 && d.free[i-1].addr+d.free[i-1].size == d.free[i].addr {
-		d.free[i-1].size += d.free[i].size
-		d.free = append(d.free[:i], d.free[i+1:]...)
-	}
+	d.release(sp)
 	return nil
 }
 
@@ -379,6 +394,7 @@ func (d *DeviceTier) Traffic() (units.Bytes, units.Bytes) {
 type MRMTier struct {
 	name    string
 	mrm     *core.MRM
+	maxRet  time.Duration   // the longest retention class, fixed at construction
 	idBuf   []core.ObjectID // scratch for PutBatch, reused across calls
 	sizeBuf []units.Bytes   // scratch for PutBatch, reused across calls
 	refBuf  []core.ObjRef   // scratch for GetBatch, reused across calls
@@ -386,7 +402,8 @@ type MRMTier struct {
 
 // NewMRMTier wraps an MRM.
 func NewMRMTier(name string, m *core.MRM) *MRMTier {
-	return &MRMTier{name: name, mrm: m}
+	classes := m.Classes()
+	return &MRMTier{name: name, mrm: m, maxRet: classes[len(classes)-1]}
 }
 
 // Name returns the tier name.
@@ -395,9 +412,9 @@ func (t *MRMTier) Name() string { return t.name }
 // MRM exposes the underlying control plane.
 func (t *MRMTier) MRM() *core.MRM { return t.mrm }
 
-// Info reports placement-relevant properties.
+// Info reports placement-relevant properties. Placement asks for it on
+// every PutBatch, so it copies nothing.
 func (t *MRMTier) Info() Info {
-	classes := t.mrm.Classes()
 	s := t.mrm.Spec()
 	return Info{
 		Name:             t.name,
@@ -406,7 +423,7 @@ func (t *MRMTier) Info() Info {
 		ReadBW:           s.ReadBW,
 		ReadEnergyPerBit: s.ReadEnergyPerBit,
 		Managed:          true,
-		MaxRetention:     classes[len(classes)-1],
+		MaxRetention:     t.maxRet,
 	}
 }
 
@@ -426,9 +443,9 @@ func (t *MRMTier) Put(m Meta) (uint64, time.Duration, error) {
 	return uint64(id), lat, err
 }
 
-// PutBatch stores the listed objects with sequential-Put equivalence (see
-// BatchPutter), splitting the batch into runs of identical write options so
-// each run flushes through the control plane as one vectored append.
+// PutBatch stores the listed objects (see BatchPutter), splitting the batch
+// into runs of identical write options so each run flushes through the
+// control plane as one vectored append.
 func (t *MRMTier) PutBatch(metas []Meta, handles []uint64, lats []time.Duration) (int, error) {
 	if len(handles) < len(metas) || len(lats) < len(metas) {
 		return 0, fmt.Errorf("tier: %s: PutBatch output slices shorter than metas", t.name)
@@ -661,7 +678,7 @@ type Manager struct {
 	infoBuf      []Info   // scratch for Put/PutBatch placement, reused across calls
 	// readBW caches each backend's read bandwidth, which is fixed at device
 	// construction; ReadTime runs per decode step and must not pay Info()
-	// (an MRM Info copies its retention-class list) to learn a constant.
+	// (which copies the device spec) to learn a constant.
 	readBW []units.Bandwidth
 
 	// Backoff is the base delay charged before a Reseat attempt (the
@@ -735,37 +752,29 @@ func (m *Manager) infos() []Info {
 	return m.infoBuf
 }
 
-// Put places an object per the policy.
+// Put places one object per the policy: a one-object PutBatch.
 func (m *Manager) Put(meta Meta) (ObjectID, time.Duration, error) {
-	idx, err := m.policy.Place(meta, m.infos())
-	if err != nil {
+	var ids [1]ObjectID
+	var lats [1]time.Duration
+	var tiers [1]int
+	if _, err := m.PutBatch([]Meta{meta}, ids[:], lats[:], tiers[:]); err != nil {
 		return 0, 0, err
 	}
-	if idx < 0 || idx >= len(m.tiers) {
-		return 0, 0, fmt.Errorf("tier: policy chose bad tier %d", idx)
-	}
-	h, lat, err := m.tiers[idx].Put(meta)
-	if err != nil {
-		return 0, 0, err
-	}
-	id := m.nextID
-	m.nextID++
-	m.objects[id] = placed{tier: idx, handle: h, meta: meta}
-	return id, lat, nil
+	return ids[0], lats[0], nil
 }
 
-// PutBatch places the metas exactly as if Put were called once per meta in
-// order, stopping at the first error — identical placement decisions, object
-// ids, latencies, and backend state — but coalesces consecutive runs of
-// same-tier placements into one vectored backend call when the backend
-// supports it (BatchPutter). Placement for object i runs against a shadow of
-// the tier infos whose Free counts are decremented as earlier objects are
-// planned: both backend kinds shrink Free by exactly the object size on a
-// successful Put, so the shadow reproduces the serial path's placement inputs
-// without flushing between objects. ids, lats, and tiers (each at least
-// len(metas) long) receive each stored object's id, write latency, and tier
-// index. Returns the number of objects fully stored and, when that is <
-// len(metas), the first-failing Put's error.
+// PutBatch places the metas in order, stopping at the first error, and
+// stores each consecutive run of same-tier placements as one backend
+// PutBatch. Placement for object i runs against a shadow of the tier infos
+// whose Free counts are decremented as earlier objects are planned: both
+// backend kinds shrink Free by exactly the object size on a successful store,
+// so the shadow gives each object the inputs it would see if the earlier ones
+// were stored one at a time. ids, lats, and tiers (each at least len(metas)
+// long) receive each stored object's id, write latency, and tier index. It
+// returns the number of objects stored and, when that number i is <
+// len(metas), object i's error; objects [0, i) are stored exactly as
+// PutBatch(metas[:i]) would store them, and object i and every later one
+// leave no trace (see BatchPutter).
 func (m *Manager) PutBatch(metas []Meta, ids []ObjectID, lats []time.Duration, tiers []int) (int, error) {
 	if len(ids) < len(metas) || len(lats) < len(metas) || len(tiers) < len(metas) {
 		return 0, fmt.Errorf("tier: PutBatch output slices shorter than metas")
@@ -782,8 +791,7 @@ func (m *Manager) PutBatch(metas []Meta, ids []ObjectID, lats []time.Duration, t
 		}
 		infos[idx].Free -= metas[done].Size
 		// Extend the run while the policy keeps choosing the same tier. A
-		// placement error inside the run only surfaces after the run's writes
-		// succeed, exactly as the serial caller would hit it.
+		// placement error inside the run surfaces after the run is stored.
 		end := done + 1
 		var pendErr error
 		for end < len(metas) {
@@ -813,37 +821,24 @@ func (m *Manager) PutBatch(metas []Meta, ids []ObjectID, lats []time.Duration, t
 	return done, nil
 }
 
-// flushRun stores one same-tier run of metas on tier idx, preferring the
-// backend's vectored path, and registers the stored objects. The output
-// slices are positioned at the run's start.
+// flushRun stores one same-tier run of metas on tier idx as one backend
+// PutBatch and registers the stored objects. The output slices are
+// positioned at the run's start.
 func (m *Manager) flushRun(idx int, metas []Meta, ids []ObjectID, lats []time.Duration, tiers []int) (int, error) {
-	if bp, ok := m.tiers[idx].(BatchPutter); ok && len(metas) > 1 {
-		if cap(m.handleBuf) < len(metas) {
-			// Geometric growth: run lengths vary call to call, and exact-size
-			// growth would churn an allocation per flush.
-			m.handleBuf = make([]uint64, max(len(metas), 2*cap(m.handleBuf)))
-		}
-		handles := m.handleBuf[:len(metas)]
-		got, err := bp.PutBatch(metas, handles, lats)
-		for i := 0; i < got; i++ {
-			id := m.nextID
-			m.nextID++
-			m.objects[id] = placed{tier: idx, handle: handles[i], meta: metas[i]}
-			ids[i], tiers[i] = id, idx
-		}
-		return got, err
+	if cap(m.handleBuf) < len(metas) {
+		// Geometric growth: run lengths vary call to call, and exact-size
+		// growth would churn an allocation per flush.
+		m.handleBuf = make([]uint64, max(len(metas), 2*cap(m.handleBuf)))
 	}
-	for i := range metas {
-		h, lat, err := m.tiers[idx].Put(metas[i])
-		if err != nil {
-			return i, err
-		}
+	handles := m.handleBuf[:len(metas)]
+	got, err := m.tiers[idx].PutBatch(metas, handles, lats)
+	for i := 0; i < got; i++ {
 		id := m.nextID
 		m.nextID++
-		m.objects[id] = placed{tier: idx, handle: h, meta: metas[i]}
-		ids[i], lats[i], tiers[i] = id, lat, idx
+		m.objects[id] = placed{tier: idx, handle: handles[i], meta: metas[i]}
+		ids[i], tiers[i] = id, idx
 	}
-	return len(metas), nil
+	return got, err
 }
 
 // Get reads an object, returning the read latency and the tier it came from.

@@ -394,7 +394,8 @@ func TestReadTimeParallelTiers(t *testing.T) {
 	}
 }
 
-// Property: the allocator never double-allocates and free space is conserved.
+// Property: the allocator never double-allocates, free space is conserved,
+// and the free list stays sorted and coalesced (CheckInvariants).
 func TestAllocatorProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		spec := memdev.HBM3E
@@ -423,7 +424,7 @@ func TestAllocatorProperty(t *testing.T) {
 				}
 				used -= sz
 			}
-			if d.Info().Free != spec.Capacity-used {
+			if d.Info().Free != spec.Capacity-used || d.CheckInvariants() != nil {
 				return false
 			}
 		}
