@@ -86,16 +86,17 @@ loc:
 
 # bench-json captures the tracked benchmarks in one `go test` run, as
 # test2json event lines in BENCH_all.json for regression tracking: the
-# sweep-engine scaling benchmarks (workers=1 vs workers=NumCPU), the device
-# hot-path benchmarks (superblock-pruned BER scan, coalesced reads, run-charged
-# reads, histogram bucket cache), the MRM read path one layer at a time (core GetRefs, then
-# tier GetPlanned over the same objects), the write path one layer at a time
+# sweep-engine scaling benchmarks (workers=1 vs workers=NumCPU), a new
+# device's heap footprint, the device hot-path benchmarks (superblock-pruned
+# BER scan, coalesced reads, run-charged reads, histogram bucket cache), the
+# MRM read path one layer at a time (core GetRefs, then tier GetPlanned over
+# the same objects), the write path one layer at a time
 # (controller AppendVec, core PutBatch, tier Manager PutBatch), the cluster-level serving
 # benchmarks (coalesced decode loop, batched write path, fleet run), and the
 # fleet-scale benchmarks (1000-node fleet-day from a materialized slice and
 # streamed, serial and pipelined, plus the generation/placement microbenches
 # that decompose the streamed day).
-BENCH_JSON_RE = ^(BenchmarkSweep|BenchmarkDeviceRead|BenchmarkDeviceWrite|BenchmarkHistogramObserve|BenchmarkMRMGetRefs|BenchmarkGetPlanned|BenchmarkZonedAppendVec|BenchmarkMRMPutBatch|BenchmarkManagerPutBatch|BenchmarkDecodeCoalesce|BenchmarkSimWritePath|BenchmarkFleetRun|BenchmarkFleetDay|BenchmarkFleetPlacement|BenchmarkGeneratorStream)
+BENCH_JSON_RE = ^(BenchmarkSweep|BenchmarkNewDevice|BenchmarkDeviceRead|BenchmarkDeviceWrite|BenchmarkHistogramObserve|BenchmarkMRMGetRefs|BenchmarkGetPlanned|BenchmarkZonedAppendVec|BenchmarkMRMPutBatch|BenchmarkManagerPutBatch|BenchmarkDecodeCoalesce|BenchmarkSimWritePath|BenchmarkFleetRun|BenchmarkFleetDay|BenchmarkFleetPlacement|BenchmarkGeneratorStream)
 
 bench-json:
 	go test -json -run '^$$' -bench '$(BENCH_JSON_RE)' -benchmem \

@@ -87,10 +87,10 @@ type ModelConfig struct {
 }
 
 // IsMoE reports whether the model has mixture-of-experts FFNs.
-func (m ModelConfig) IsMoE() bool { return m.Experts > 0 }
+func (m *ModelConfig) IsMoE() bool { return m.Experts > 0 }
 
 // sharedFraction returns the non-expert parameter share.
-func (m ModelConfig) sharedFraction() float64 {
+func (m *ModelConfig) sharedFraction() float64 {
 	if m.SharedFraction > 0 {
 		return m.SharedFraction
 	}
@@ -100,7 +100,7 @@ func (m ModelConfig) sharedFraction() float64 {
 // ExpertsTouched returns the expected number of distinct experts activated
 // by a batch of b tokens routing independently (with replacement):
 // E·(1 − (1 − a/E)^b).
-func (m ModelConfig) ExpertsTouched(b int) float64 {
+func (m *ModelConfig) ExpertsTouched(b int) float64 {
 	if !m.IsMoE() || b <= 0 {
 		return 0
 	}
@@ -112,7 +112,7 @@ func (m ModelConfig) ExpertsTouched(b int) float64 {
 // batch of b concurrent tokens. Dense models read everything; MoE models
 // read the shared weights plus only the experts the batch touched — until
 // the batch is large enough to touch them all.
-func (m ModelConfig) WeightReadBytes(b int) units.Bytes {
+func (m *ModelConfig) WeightReadBytes(b int) units.Bytes {
 	w := float64(m.WeightBytes())
 	if !m.IsMoE() {
 		return units.Bytes(w)
@@ -123,7 +123,7 @@ func (m ModelConfig) WeightReadBytes(b int) units.Bytes {
 }
 
 // Validate reports geometry problems.
-func (m ModelConfig) Validate() error {
+func (m *ModelConfig) Validate() error {
 	switch {
 	case m.Params <= 0:
 		return fmt.Errorf("llm: %s has no parameters", m.Name)
@@ -140,18 +140,18 @@ func (m ModelConfig) Validate() error {
 }
 
 // WeightBytes returns the resident size of the weights.
-func (m ModelConfig) WeightBytes() units.Bytes {
+func (m *ModelConfig) WeightBytes() units.Bytes {
 	return units.Bytes(m.Params * m.Precision.Bytes())
 }
 
 // KVBytesPerToken returns the self-attention vector size appended per token:
 // K and V, per layer, per KV head, per head dimension.
-func (m ModelConfig) KVBytesPerToken() units.Bytes {
+func (m *ModelConfig) KVBytesPerToken() units.Bytes {
 	return units.Bytes(2 * float64(m.Layers*m.KVHeads*m.HeadDim) * m.Precision.Bytes())
 }
 
 // KVCacheBytes returns KV cache size at a context length.
-func (m ModelConfig) KVCacheBytes(contextLen int) units.Bytes {
+func (m *ModelConfig) KVCacheBytes(contextLen int) units.Bytes {
 	return m.KVBytesPerToken() * units.Bytes(contextLen)
 }
 
@@ -159,14 +159,14 @@ func (m ModelConfig) KVCacheBytes(contextLen int) units.Bytes {
 // roughly hidden-state tensors for a handful of layers in flight. The paper
 // notes activations are about an order of magnitude smaller than weights and
 // KV caches; this estimate reproduces that ratio.
-func (m ModelConfig) ActivationBytes(batch int) units.Bytes {
+func (m *ModelConfig) ActivationBytes(batch int) units.Bytes {
 	perToken := 12 * float64(m.DModel) * m.Precision.Bytes() // qkv+mlp intermediates
 	return units.Bytes(perToken * float64(batch*m.Layers) / 4)
 }
 
 // FLOPsPerToken returns dense FLOPs to process one token (forward pass):
 // the standard 2*params plus attention score work at context length ctx.
-func (m ModelConfig) FLOPsPerToken(ctx int) float64 {
+func (m *ModelConfig) FLOPsPerToken(ctx int) float64 {
 	attn := 4 * float64(m.Layers) * float64(ctx) * float64(m.KVHeads*m.HeadDim)
 	return 2*m.Params + attn
 }

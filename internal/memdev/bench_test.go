@@ -29,7 +29,26 @@ func weightDevice(b *testing.B) (*Device, units.Bytes) {
 		b.Fatal(err)
 	}
 	d.SetFaults(FaultConfig{Code: ecc.RSSpec(255, 223), UBERTarget: 1e-12})
+	// The first scan allocates the BER term caches; take it here so B/op is
+	// the steady state.
+	if _, err := d.ReadAt(0, size); err != nil {
+		b.Fatal(err)
+	}
 	return d, size
+}
+
+// BenchmarkNewDevice measures building an accelerator-sized (192 GiB) HBM
+// device that is never written: its B/op is the per-device heap a fleet pays
+// before any access.
+func BenchmarkNewDevice(b *testing.B) {
+	spec := HBM3E
+	spec.Capacity = 192 * units.GiB
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewDevice(spec); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkDeviceReadWeights is the simulator's dominant access: one read
@@ -94,6 +113,11 @@ func BenchmarkDeviceWriteLarge(b *testing.B) {
 		b.Fatal(err)
 	}
 	size := 140 * units.GiB
+	// The first write allocates the touched superblocks' chunks; take it
+	// here so B/op is the steady state.
+	if _, err := d.WriteAt(1024, size); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d.WriteAt(1024, size); err != nil {

@@ -58,8 +58,25 @@ func (e EnergyBreakdown) Total() units.Energy {
 // superBlocks is the number of wear blocks summarized by one superblock
 // aggregate. Reads consult the aggregates to skip whole superblocks whose
 // BER ceiling cannot beat the worst block seen so far; 64 keeps the aggregate
-// arrays small while making the typical weight-sized scan ~64x shorter.
+// overhead small while making the typical weight-sized scan ~64x shorter.
 const superBlocks = 64
+
+// chunk is the wear state of one superblock, allocated by the first write
+// that touches it: its blocks' write cycles and last-write times, and the two
+// aggregates the read path prunes with. maxWear is the exact maximum wear
+// (wear only grows, so a max-update on every write keeps it exact).
+// minLastWrite is a conservative lower bound on the minimum lastWrite
+// (lastWrite only moves forward, so a stale bound over-estimates age,
+// over-estimates the BER ceiling, and pruning stays exact); it is tightened to
+// the true minimum whenever a read scans the full superblock, and set exactly
+// when a write covers it. A nil chunk is a superblock never written: every
+// field zero.
+type chunk struct {
+	wear         [superBlocks]float64       // write cycles per wear block
+	lastWrite    [superBlocks]time.Duration // device time of each block's last write
+	maxWear      float64
+	minLastWrite time.Duration
+}
 
 // The BER hot path caches the two expensive RawBER terms separately in
 // direct-mapped tables. cellphys.RawBER decomposes exactly into
@@ -85,6 +102,13 @@ type berTermEnt struct {
 	ok  bool
 }
 
+// berCaches holds the two direct-mapped term caches. Only the worst-BER scan
+// reads them, so a device allocates them on its first scan.
+type berCaches struct {
+	wear  [berCacheSize]berTermEnt // keyed by wear-cycle float bits
+	decay [berCacheSize]berTermEnt // keyed by age ticks
+}
+
 // berCacheIdx maps a key to its direct-mapped slot (fibonacci hashing).
 func berCacheIdx(key uint64) int {
 	return int((key * 0x9e3779b97f4a7c15) >> (64 - berCacheBits))
@@ -101,11 +125,12 @@ type Device struct {
 	// else -1. Block-range mapping runs once per span on the read hot path;
 	// the shift replaces two 64-bit divisions there.
 	wearShift int
+	blocks    int // wear blocks on the device; the last superblock may be partial
 
 	mu         sync.Mutex
 	now        time.Duration           // simulated device-local time; guarded by mu
-	wear       []float64               // write cycles per wear block; guarded by mu
-	lastWrite  []time.Duration         // guarded by mu
+	chunks     []*chunk                // wear state per superblock, nil until written; guarded by mu
+	ber        *berCaches              // RawBER term caches, nil until the first scan; guarded by mu
 	energy     EnergyBreakdown         // guarded by mu
 	reads      uint64                  // guarded by mu
 	writes     uint64                  // guarded by mu
@@ -113,18 +138,6 @@ type Device struct {
 	writeBytes units.Bytes             // guarded by mu
 	berParams  cellphys.RawBERParams   // immutable after NewDevice
 	op         cellphys.OperatingPoint // fixed operating point from the spec; immutable
-
-	// Superblock aggregates for read-path pruning. sbMaxWear[s] is the exact
-	// maximum wear over superblock s (wear only grows, so a max-update on
-	// every write keeps it exact). sbMinLastWrite[s] is a conservative lower
-	// bound on the minimum lastWrite (lastWrite only moves forward, so a
-	// stale bound over-estimates age, over-estimates the BER ceiling, and
-	// pruning stays exact); it is tightened to the true minimum whenever a
-	// read scans the full superblock, and set exactly when a write covers it.
-	sbMaxWear      []float64                // guarded by mu
-	sbMinLastWrite []time.Duration          // guarded by mu
-	wearTerms      [berCacheSize]berTermEnt // wear-term RawBER cache; guarded by mu
-	decayTerms     [berCacheSize]berTermEnt // decay-term RawBER cache; guarded by mu
 
 	// Memo of the pure per-size read cost: the latency/energy arithmetic
 	// (float divide + two conversions) shows up in profiles, and a small
@@ -152,7 +165,8 @@ type Device struct {
 }
 
 // NewDevice creates a device from spec. Wear is tracked per spec.BlockSize
-// (or per 2 MiB for byte-addressable devices).
+// (or per 2 MiB for byte-addressable devices), in per-superblock chunks
+// allocated by the first write to each superblock.
 func NewDevice(spec Spec) (*Device, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -185,15 +199,13 @@ func NewDevice(spec Spec) (*Device, error) {
 		shift = bits.TrailingZeros64(uint64(wb))
 	}
 	return &Device{
-		spec:           spec,
-		wearBlock:      wb,
-		wearShift:      shift,
-		wear:           make([]float64, n),
-		lastWrite:      make([]time.Duration, n),
-		sbMaxWear:      make([]float64, nsb),
-		sbMinLastWrite: make([]time.Duration, nsb),
-		berParams:      cellphys.DefaultBER,
-		op:             op,
+		spec:      spec,
+		wearBlock: wb,
+		wearShift: shift,
+		blocks:    int(n),
+		chunks:    make([]*chunk, nsb),
+		berParams: cellphys.DefaultBER,
+		op:        op,
 	}, nil
 }
 
@@ -537,6 +549,9 @@ func (d *Device) readLocked(addr, size units.Bytes, first, last int) (Result, er
 // age, recombining the per-term caches exactly as cellphys.RawBER adds its
 // terms: floor + wear + decay, clamped at 0.5. Caller holds d.mu.
 func (d *Device) rawBERLocked(cycles float64, age time.Duration) float64 {
+	if d.ber == nil {
+		d.ber = new(berCaches)
+	}
 	ber := d.berParams.Floor + d.wearTermLocked(cycles) + d.decayTermLocked(age)
 	if ber > 0.5 {
 		ber = 0.5
@@ -546,13 +561,13 @@ func (d *Device) rawBERLocked(cycles float64, age time.Duration) float64 {
 
 // wearTerm returns cellphys.WearBERTerm(d.op, cycles, d.berParams) through
 // the direct-mapped cache; a hit returns the identical float. Caller holds
-// d.mu.
+// d.mu and has allocated d.ber.
 func (d *Device) wearTermLocked(cycles float64) float64 {
 	if cycles <= 0 || d.op.Endurance <= 0 {
 		return 0
 	}
 	key := math.Float64bits(cycles)
-	e := &d.wearTerms[berCacheIdx(key)]
+	e := &d.ber.wear[berCacheIdx(key)]
 	if e.ok && e.key == key {
 		return e.val
 	}
@@ -562,13 +577,14 @@ func (d *Device) wearTermLocked(cycles float64) float64 {
 }
 
 // decayTerm returns cellphys.DecayBERTerm(d.op, age, d.berParams) through the
-// direct-mapped cache; a hit returns the identical float. Caller holds d.mu.
+// direct-mapped cache; a hit returns the identical float. Caller holds d.mu
+// and has allocated d.ber.
 func (d *Device) decayTermLocked(age time.Duration) float64 {
 	if age <= 0 || d.op.Retention <= 0 {
 		return 0
 	}
 	key := uint64(age)
-	e := &d.decayTerms[berCacheIdx(key)]
+	e := &d.ber.decay[berCacheIdx(key)]
 	if e.ok && e.key == key {
 		return e.val
 	}
@@ -578,18 +594,20 @@ func (d *Device) decayTermLocked(age time.Duration) float64 {
 }
 
 // worstBERLocked reports the exact maximum RawBER over blocks [first, last].
-// It walks the range superblock by superblock: for a fully-covered superblock
-// it first evaluates the BER ceiling at the aggregate (max wear, max age)
-// corner — by RawBER's monotonicity contract no block inside can exceed it —
-// and skips the superblock outright when the ceiling cannot beat the worst
-// block already seen (ties are safe to skip: a block equal to the current
-// worst leaves the maximum unchanged). Only superblocks whose ceiling is
-// competitive are scanned block by block, so a uniform weight-sized read
-// costs O(superblocks) instead of O(blocks) while reporting the identical
-// worst BER. Caller holds d.mu.
+// It walks the range superblock by superblock, fetching each superblock's
+// chunk once. A superblock never written holds zero wear and lastWrite 0 in
+// every block, so it contributes RawBER(0, now) without a scan. For a
+// fully-covered written superblock it first evaluates the BER ceiling at the
+// chunk's aggregate (max wear, max age) corner — by RawBER's monotonicity
+// contract no block inside can exceed it — and skips the superblock outright
+// when the ceiling cannot beat the worst block already seen (ties are safe to
+// skip: a block equal to the current worst leaves the maximum unchanged).
+// Only superblocks whose ceiling is competitive are scanned block by block, so
+// a uniform weight-sized read costs O(superblocks) instead of O(blocks) while
+// reporting the identical worst BER. Caller holds d.mu.
 func (d *Device) worstBERLocked(first, last int) float64 {
 	worst := 0.0
-	lastIdx := len(d.wear) - 1
+	lastIdx := d.blocks - 1
 	// Last-value memo: blocks written by one WriteAt share (wear, lastWrite),
 	// so runs of identical inputs skip even the term-cache lookups. rawBER is a
 	// pure function of its inputs, so the memo returns the identical float.
@@ -609,46 +627,47 @@ func (d *Device) worstBERLocked(first, last int) float64 {
 		sb := b / superBlocks
 		sbFirst := sb * superBlocks
 		sbLast := min(sbFirst+superBlocks-1, lastIdx)
-		if b == sbFirst && sbLast <= last {
+		end := min(sbLast, last)
+		c := d.chunks[sb]
+		if c == nil {
+			// Device time never goes negative, so d.now is every block's age.
+			if ber := blockBER(0, d.now); ber > worst {
+				worst = ber
+			}
+			b = end + 1
+			continue
+		}
+		full := b == sbFirst && sbLast <= last
+		if full {
 			// Fully-covered superblock: try to prune via the ceiling.
-			maxAge := d.now - d.sbMinLastWrite[sb]
+			maxAge := d.now - c.minLastWrite
 			if maxAge < 0 {
 				maxAge = 0
 			}
-			bound := d.rawBERLocked(d.sbMaxWear[sb], maxAge)
-			if bound <= worst {
-				b = sbLast + 1
+			if d.rawBERLocked(c.maxWear, maxAge) <= worst {
+				b = end + 1
 				continue
 			}
-			// Scan, tightening the lastWrite bound to the true minimum so the
-			// next read's ceiling is tighter.
-			minLW := d.lastWrite[b]
-			for i := b; i <= sbLast; i++ {
-				if lw := d.lastWrite[i]; lw < minLW {
-					minLW = lw
-				}
-				age := d.now - d.lastWrite[i]
-				if age < 0 {
-					age = 0
-				}
-				if ber := blockBER(d.wear[i], age); ber > worst {
-					worst = ber
-				}
-			}
-			d.sbMinLastWrite[sb] = minLW
-			b = sbLast + 1
-			continue
 		}
-		// Partial superblock at the range edge: scan it directly.
-		end := min(sbLast, last)
-		for i := b; i <= end; i++ {
-			age := d.now - d.lastWrite[i]
+		// Scan; a full scan also tightens the lastWrite bound to the true
+		// minimum so the next read's ceiling is tighter. Partial superblocks
+		// at the range edges are always scanned.
+		minLW := c.lastWrite[b-sbFirst]
+		for i := b - sbFirst; i <= end-sbFirst; i++ {
+			lw := c.lastWrite[i]
+			if lw < minLW {
+				minLW = lw
+			}
+			age := d.now - lw
 			if age < 0 {
 				age = 0
 			}
-			if ber := blockBER(d.wear[i], age); ber > worst {
+			if ber := blockBER(c.wear[i], age); ber > worst {
 				worst = ber
 			}
+		}
+		if full {
+			c.minLastWrite = minLW
 		}
 		b = end + 1
 	}
@@ -714,42 +733,40 @@ func (d *Device) writeLocked(addr, size units.Bytes, first, last int) (Result, e
 	// covers, so small writes do not count as full-block cycles. Only the two
 	// edge blocks can be partially covered; every interior block's coverage
 	// is exactly wearBlock, so its update is wear += 1.0 — bit-identical to
-	// overlap(...)/wearBlock without computing either. The same pass keeps
-	// the superblock max-wear aggregates exact (wear only grows, so folding
-	// each touched block into a running max preserves the true maximum).
-	curSB := -1
-	curMax := 0.0
-	for b := first; b <= last; b++ {
-		if sb := b / superBlocks; sb != curSB {
-			if curSB >= 0 && curMax > d.sbMaxWear[curSB] {
-				d.sbMaxWear[curSB] = curMax
-			}
-			curSB, curMax = sb, d.sbMaxWear[sb]
-		}
-		if b == first || b == last {
-			bStart := units.Bytes(b) * d.wearBlock
-			cover := overlap(addr, addr+size, bStart, bStart+d.wearBlock)
-			d.wear[b] += float64(cover) / float64(d.wearBlock)
-		} else {
-			d.wear[b]++
-		}
-		if d.wear[b] > curMax {
-			curMax = d.wear[b]
-		}
-		d.lastWrite[b] = d.now
-	}
-	if curSB >= 0 && curMax > d.sbMaxWear[curSB] {
-		d.sbMaxWear[curSB] = curMax
-	}
-	// A superblock fully inside the write has every lastWrite set to now, so
-	// its min-lastWrite bound becomes exactly now; partially-covered edge
-	// superblocks keep their old (still conservative) bound.
-	lastIdx := len(d.wear) - 1
+	// overlap(...)/wearBlock without computing either. The walk goes chunk by
+	// chunk, allocating a superblock's chunk on its first write, and keeps
+	// each chunk's max-wear aggregate exact (wear only grows, so folding each
+	// touched block into a running max preserves the true maximum).
+	lastIdx := d.blocks - 1
 	for sb := first / superBlocks; sb <= last/superBlocks; sb++ {
+		c := d.chunks[sb]
+		if c == nil {
+			c = new(chunk)
+			d.chunks[sb] = c
+		}
 		sbFirst := sb * superBlocks
 		sbLast := min(sbFirst+superBlocks-1, lastIdx)
+		curMax := c.maxWear
+		for b := max(first, sbFirst); b <= min(last, sbLast); b++ {
+			i := b - sbFirst
+			if b == first || b == last {
+				bStart := units.Bytes(b) * d.wearBlock
+				cover := overlap(addr, addr+size, bStart, bStart+d.wearBlock)
+				c.wear[i] += float64(cover) / float64(d.wearBlock)
+			} else {
+				c.wear[i]++
+			}
+			if c.wear[i] > curMax {
+				curMax = c.wear[i]
+			}
+			c.lastWrite[i] = d.now
+		}
+		c.maxWear = curMax
+		// A superblock fully inside the write has every lastWrite set to now,
+		// so its min-lastWrite bound becomes exactly now; partially-covered
+		// edge superblocks keep their old (still conservative) bound.
 		if sbFirst >= first && sbLast <= last {
-			d.sbMinLastWrite[sb] = d.now
+			c.minLastWrite = d.now
 		}
 	}
 	res := Result{Latency: lat, Energy: e}
@@ -785,14 +802,22 @@ type WearSummary struct {
 func (d *Device) Wear() WearSummary {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// Blocks of unwritten superblocks hold zero wear; skipping them leaves
+	// the max alone and skips only +0 adds, so the sum is bit-identical to a
+	// walk over every block.
 	var maxC, sum float64
-	for _, c := range d.wear {
-		if c > maxC {
-			maxC = c
+	for _, c := range d.chunks {
+		if c == nil {
+			continue
 		}
-		sum += c
+		for _, w := range c.wear {
+			if w > maxC {
+				maxC = w
+			}
+			sum += w
+		}
 	}
-	mean := sum / float64(len(d.wear))
+	mean := sum / float64(d.blocks)
 	return WearSummary{
 		MaxCycles:  maxC,
 		MeanCycles: mean,

@@ -12,6 +12,34 @@ import (
 	"mrm/internal/units"
 )
 
+// blockLocked returns wear block b's write cycles and last-write time; a
+// never-written superblock reads as zeros. Caller holds d.mu (or owns d).
+func (d *Device) blockLocked(b int) (float64, time.Duration) {
+	c := d.chunks[b/superBlocks]
+	if c == nil {
+		return 0, 0
+	}
+	return c.wear[b%superBlocks], c.lastWrite[b%superBlocks]
+}
+
+// superblockLocked returns superblock sb's max-wear and min-lastWrite
+// aggregates; a never-written superblock reads as zeros. Caller holds d.mu
+// (or owns d).
+func (d *Device) superblockLocked(sb int) (float64, time.Duration) {
+	c := d.chunks[sb]
+	if c == nil {
+		return 0, 0
+	}
+	return c.maxWear, c.minLastWrite
+}
+
+// wearLocked returns wear block b's write cycles. Caller holds d.mu (or owns
+// d).
+func (d *Device) wearLocked(b int) float64 {
+	w, _ := d.blockLocked(b)
+	return w
+}
+
 // worstBERBrute is the pre-pruning reference: the per-block scan ReadAt used
 // to run. The property tests assert the pruned fast path reports exactly —
 // not approximately — this value.
@@ -22,11 +50,12 @@ func worstBERBrute(d *Device, addr, size units.Bytes) float64 {
 	}
 	worst := 0.0
 	for b := first; b <= last; b++ {
-		age := d.now - d.lastWrite[b]
+		wear, lw := d.blockLocked(b)
+		age := d.now - lw
 		if age < 0 {
 			age = 0
 		}
-		ber := cellphys.RawBER(d.op, cellphys.WearState{Cycles: d.wear[b]}, age, d.berParams)
+		ber := cellphys.RawBER(d.op, cellphys.WearState{Cycles: wear}, age, d.berParams)
 		if ber > worst {
 			worst = ber
 		}
@@ -149,21 +178,21 @@ func TestWriteFractionalWearAcrossSuperblockBoundary(t *testing.T) {
 		superBlocks + 1: 0.25,
 	}
 	for b, want := range wantWear {
-		if got := d.wear[b]; got != want {
+		if got := d.wearLocked(b); got != want {
 			t.Errorf("wear[%d] = %v, want %v", b, got, want)
 		}
 	}
-	if got := d.wear[superBlocks-2]; got != 0 {
+	if got := d.wearLocked(superBlocks - 2); got != 0 {
 		t.Errorf("wear[%d] = %v, want untouched 0", superBlocks-2, got)
 	}
 	// Aggregates: superblock 0's max wear is 0.5 (block 63), superblock 1's
 	// is 1.0 (block 64); neither superblock was fully covered, so the
 	// min-lastWrite bounds must keep their conservative value 0.
-	if got := d.sbMaxWear[0]; got != 0.5 {
-		t.Errorf("sbMaxWear[0] = %v, want 0.5", got)
+	if got, _ := d.superblockLocked(0); got != 0.5 {
+		t.Errorf("maxWear[0] = %v, want 0.5", got)
 	}
-	if got := d.sbMaxWear[1]; got != 1.0 {
-		t.Errorf("sbMaxWear[1] = %v, want 1.0", got)
+	if got, _ := d.superblockLocked(1); got != 1.0 {
+		t.Errorf("maxWear[1] = %v, want 1.0", got)
 	}
 	if err := d.Advance(time.Minute); err != nil {
 		t.Fatal(err)
@@ -171,11 +200,11 @@ func TestWriteFractionalWearAcrossSuperblockBoundary(t *testing.T) {
 	if _, err := d.WriteAt(addr, size); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.sbMinLastWrite[0]; got != 0 {
-		t.Errorf("sbMinLastWrite[0] = %v, want conservative 0 after partial cover", got)
+	if _, got := d.superblockLocked(0); got != 0 {
+		t.Errorf("minLastWrite[0] = %v, want conservative 0 after partial cover", got)
 	}
-	if got := d.sbMinLastWrite[1]; got != 0 {
-		t.Errorf("sbMinLastWrite[1] = %v, want conservative 0 after partial cover", got)
+	if _, got := d.superblockLocked(1); got != 0 {
+		t.Errorf("minLastWrite[1] = %v, want conservative 0 after partial cover", got)
 	}
 }
 
@@ -187,15 +216,15 @@ func TestWriteInteriorBlocksWearExactlyOne(t *testing.T) {
 	if _, err := d.WriteAt(addr, size); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.wear[0]; got != 0.5 {
+	if got := d.wearLocked(0); got != 0.5 {
 		t.Errorf("first-edge wear = %v, want 0.5", got)
 	}
 	for b := 1; b <= 9; b++ {
-		if got := d.wear[b]; got != 1.0 {
+		if got := d.wearLocked(b); got != 1.0 {
 			t.Errorf("interior wear[%d] = %v, want exactly 1.0", b, got)
 		}
 	}
-	if got := d.wear[10]; got != 0.5 {
+	if got := d.wearLocked(10); got != 0.5 {
 		t.Errorf("last-edge wear = %v, want 0.5", got)
 	}
 }
@@ -212,11 +241,11 @@ func TestWriteFullSuperblockSetsMinLastWrite(t *testing.T) {
 	if _, err := d.WriteAt(addr, size); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.sbMinLastWrite[1]; got != time.Hour {
-		t.Errorf("sbMinLastWrite[1] = %v, want %v (fully covered)", got, time.Hour)
+	if _, got := d.superblockLocked(1); got != time.Hour {
+		t.Errorf("minLastWrite[1] = %v, want %v (fully covered)", got, time.Hour)
 	}
-	if got := d.sbMinLastWrite[0]; got != 0 {
-		t.Errorf("sbMinLastWrite[0] = %v, want 0 (only partially covered)", got)
+	if _, got := d.superblockLocked(0); got != 0 {
+		t.Errorf("minLastWrite[0] = %v, want 0 (only partially covered)", got)
 	}
 }
 
@@ -230,8 +259,8 @@ func TestReadTightensMinLastWriteBound(t *testing.T) {
 	if _, err := d.WriteAt(0, units.Bytes(superBlocks)*wb/2); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.sbMinLastWrite[0]; got != 0 {
-		t.Fatalf("sbMinLastWrite[0] = %v before scan, want 0", got)
+	if _, got := d.superblockLocked(0); got != 0 {
+		t.Fatalf("minLastWrite[0] = %v before scan, want 0", got)
 	}
 	// ...and a full-superblock scan tightens it to the true minimum (still 0
 	// here — the second half was never written) while a later full write
@@ -241,8 +270,42 @@ func TestReadTightensMinLastWriteBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	worstBER(t, d, 0, units.Bytes(superBlocks)*wb)
-	if got := d.sbMinLastWrite[0]; got != time.Hour {
-		t.Errorf("sbMinLastWrite[0] = %v after full write + scan, want %v", got, time.Hour)
+	if _, got := d.superblockLocked(0); got != time.Hour {
+		t.Errorf("minLastWrite[0] = %v after full write + scan, want %v", got, time.Hour)
+	}
+}
+
+// TestPartialScanLeavesMinLastWriteBound pins that only a full-superblock
+// scan may tighten the min-lastWrite bound: a partial scan sees only some
+// blocks, so its minimum can exceed the true one, and a bound set from it
+// would under-estimate the superblock's oldest age and prune a block that
+// holds the worst BER.
+func TestPartialScanLeavesMinLastWriteBound(t *testing.T) {
+	d := berTestDevice(t)
+	wb := d.wearBlock
+	sb := units.Bytes(superBlocks) * wb
+	step := func(dt time.Duration, writes ...Span) {
+		t.Helper()
+		if err := d.Advance(dt); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range writes {
+			if _, err := d.WriteAt(w.Addr, w.Size); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Superblock 1 written at 0; superblock 0 and the upper half of
+	// superblock 1 at 15ms; reads at 30ms.
+	step(0, Span{Addr: sb, Size: sb})
+	step(15*time.Millisecond, Span{Addr: 0, Size: sb}, Span{Addr: sb + sb/2, Size: sb / 2})
+	step(15 * time.Millisecond)
+	worstBER(t, d, sb+sb/2, sb/2) // partial scan of superblock 1's fresh half
+	if _, got := d.superblockLocked(1); got != 0 {
+		t.Fatalf("minLastWrite[1] = %v after a partial scan, want the bound 0 kept", got)
+	}
+	if got, want := worstBER(t, d, 0, 2*sb), worstBERBrute(d, 0, 2*sb); got != want {
+		t.Fatalf("scan after partial scan: RawBER %.17g != brute-force %.17g", got, want)
 	}
 }
 

@@ -73,15 +73,17 @@ func TestWriteSpansMatchesSequentialWriteAt(t *testing.T) {
 		}
 		// Wear state must be bit-identical too: per-block wear and lastWrite,
 		// and the superblock aggregates the read path prunes with.
-		for b := range seq.wear {
-			if seq.wear[b] != bat.wear[b] || seq.lastWrite[b] != bat.lastWrite[b] {
-				t.Fatalf("round %d block %d: wear (%v, %v) != (%v, %v)", round, b,
-					seq.wear[b], seq.lastWrite[b], bat.wear[b], bat.lastWrite[b])
+		for b := 0; b < seq.blocks; b++ {
+			sw, slw := seq.blockLocked(b)
+			bw, blw := bat.blockLocked(b)
+			if sw != bw || slw != blw {
+				t.Fatalf("round %d block %d: wear (%v, %v) != (%v, %v)", round, b, sw, slw, bw, blw)
 			}
 		}
-		for sb := range seq.sbMaxWear {
-			if seq.sbMaxWear[sb] != bat.sbMaxWear[sb] ||
-				seq.sbMinLastWrite[sb] != bat.sbMinLastWrite[sb] {
+		for sb := range seq.chunks {
+			sw, slw := seq.superblockLocked(sb)
+			bw, blw := bat.superblockLocked(sb)
+			if sw != bw || slw != blw || (seq.chunks[sb] == nil) != (bat.chunks[sb] == nil) {
 				t.Fatalf("round %d superblock %d aggregates diverged", round, sb)
 			}
 		}
@@ -135,7 +137,7 @@ func TestWriteFaultChargedAndCounted(t *testing.T) {
 	if st.Writes != 1 || st.WriteFaults != 1 || st.Uncorrectable != 0 {
 		t.Fatalf("stats = %+v; want 1 write, 1 write fault, 0 read uncorrectables", st)
 	}
-	if d.wear[0] == 0 {
+	if d.wearLocked(0) == 0 {
 		t.Fatal("faulted write should still wear the block")
 	}
 	// Zero config disarms: same write never faults.

@@ -141,13 +141,13 @@ func (w *Welford) Max() float64 { return w.max }
 // percentile queries with relative error bounded by the growth factor.
 type Histogram struct {
 	mu      sync.Mutex
-	base    float64       // immutable after NewHistogram
-	logG    float64       // immutable after NewHistogram
-	buckets map[int]int64 // guarded by mu
-	zero    int64         // samples below base; guarded by mu
-	count   int64         // guarded by mu
-	sum     float64       // guarded by mu
-	max     float64       // guarded by mu
+	base    float64 // immutable after NewHistogram
+	logG    float64 // immutable after NewHistogram
+	buckets []int64 // count per bucket index, grown on demand; guarded by mu
+	zero    int64   // samples below base; guarded by mu
+	count   int64   // guarded by mu
+	sum     float64 // guarded by mu
+	max     float64 // guarded by mu
 
 	// One-entry bucket cache: latency samples cluster, so consecutive
 	// observations usually land in the bucket of the previous one. lastLo/
@@ -166,12 +166,12 @@ func NewHistogram(base, growth float64) *Histogram {
 	if base <= 0 || growth <= 1 {
 		panic("metrics: invalid histogram parameters")
 	}
-	return &Histogram{base: base, logG: math.Log(growth), buckets: make(map[int]int64)}
+	return &Histogram{base: base, logG: math.Log(growth)}
 }
 
-// Observe adds a sample; negative samples panic.
+// Observe adds a sample; negative, NaN and infinite samples panic.
 func (h *Histogram) Observe(x float64) {
-	if x < 0 || math.IsNaN(x) {
+	if !(x >= 0) || x > math.MaxFloat64 {
 		panic(fmt.Sprintf("metrics: invalid histogram sample %v", x))
 	}
 	h.mu.Lock()
@@ -189,7 +189,11 @@ func (h *Histogram) Observe(x float64) {
 		h.buckets[h.lastIdx]++
 		return
 	}
+	// x >= base makes x/base >= 1, so the index is never negative.
 	i := int(math.Floor(math.Log(x/h.base) / h.logG))
+	if i >= len(h.buckets) {
+		h.buckets = append(h.buckets, make([]int64, i+1-len(h.buckets))...)
+	}
 	h.buckets[i]++
 	// Cache this bucket's bounds for the next sample, pulled inward by a
 	// guard band several orders of magnitude wider than the rounding error
@@ -224,10 +228,7 @@ func (h *Histogram) Merge(other *Histogram) {
 	// never hold both locks at once.
 	other.mu.Lock()
 	zero, count, sum, max := other.zero, other.count, other.sum, other.max
-	buckets := make(map[int]int64, len(other.buckets))
-	for i, c := range other.buckets {
-		buckets[i] = c
-	}
+	buckets := append([]int64(nil), other.buckets...)
 	other.mu.Unlock()
 
 	h.mu.Lock()
@@ -237,6 +238,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += sum
 	if max > h.max {
 		h.max = max
+	}
+	if len(buckets) > len(h.buckets) {
+		h.buckets = append(h.buckets, make([]int64, len(buckets)-len(h.buckets))...)
 	}
 	for i, c := range buckets {
 		h.buckets[i] += c
@@ -283,13 +287,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	seen := h.zero
-	idx := make([]int, 0, len(h.buckets))
-	for i := range h.buckets {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	for _, i := range idx {
-		seen += h.buckets[i]
+	for i, c := range h.buckets {
+		seen += c
 		if seen >= target {
 			// Return the geometric midpoint of the bucket.
 			lo := h.base * math.Exp(float64(i)*h.logG)
