@@ -91,12 +91,13 @@ loc:
 # BER scan, coalesced reads, run-charged reads, histogram bucket cache), the
 # MRM read path one layer at a time (core GetRefs, then tier GetPlanned over
 # the same objects), the write path one layer at a time
-# (controller AppendVec, core PutBatch, tier Manager PutBatch), the cluster-level serving
+# (controller AppendVec, core PutBatch, tier Manager PutBatch), core's idle
+# housekeeping Tick, the cluster-level serving
 # benchmarks (coalesced decode loop, batched write path, fleet run), and the
 # fleet-scale benchmarks (1000-node fleet-day from a materialized slice and
 # streamed, serial and pipelined, plus the generation/placement microbenches
 # that decompose the streamed day).
-BENCH_JSON_RE = ^(BenchmarkSweep|BenchmarkNewDevice|BenchmarkDeviceRead|BenchmarkDeviceWrite|BenchmarkHistogramObserve|BenchmarkMRMGetRefs|BenchmarkGetPlanned|BenchmarkZonedAppendVec|BenchmarkMRMPutBatch|BenchmarkManagerPutBatch|BenchmarkDecodeCoalesce|BenchmarkSimWritePath|BenchmarkFleetRun|BenchmarkFleetDay|BenchmarkFleetPlacement|BenchmarkGeneratorStream)
+BENCH_JSON_RE = ^(BenchmarkSweep|BenchmarkNewDevice|BenchmarkDeviceRead|BenchmarkDeviceWrite|BenchmarkHistogramObserve|BenchmarkMRMGetRefs|BenchmarkGetPlanned|BenchmarkZonedAppendVec|BenchmarkMRMPutBatch|BenchmarkMRMTick|BenchmarkManagerPutBatch|BenchmarkDecodeCoalesce|BenchmarkSimWritePath|BenchmarkFleetRun|BenchmarkFleetDay|BenchmarkFleetPlacement|BenchmarkGeneratorStream)
 
 bench-json:
 	go test -json -run '^$$' -bench '$(BENCH_JSON_RE)' -benchmem \

@@ -22,6 +22,7 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
@@ -165,31 +166,44 @@ type object struct {
 	class     Class
 	opts      WriteOptions
 	extents   []extent
+	ext0      [1]extent     // extents' backing array while they fit (a KV page's do)
 	deadline  time.Duration // when the data must be refreshed or dropped
+	heapIdx   int           // position in MRM.heap while live, -1 otherwise
 }
 
 type zoneMeta struct {
-	class   Class
-	objects map[ObjectID]bool // live objects with extents here
+	class Class
+	live  int // extents of live objects in the zone
 }
 
-// deadlineHeap orders object ids by deadline.
-type deadlineItem struct {
-	id       ObjectID
-	deadline time.Duration
-}
-type deadlineHeap []deadlineItem
+// deadlineHeap holds exactly the live objects, ordered by (deadline, id),
+// each tracking its position so Delete and Compact can remove or re-key it.
+type deadlineHeap []*object
 
-func (h deadlineHeap) Len() int            { return len(h) }
-func (h deadlineHeap) Less(i, j int) bool  { return h[i].deadline < h[j].deadline }
-func (h deadlineHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *deadlineHeap) Push(x interface{}) { *h = append(*h, x.(deadlineItem)) }
-func (h *deadlineHeap) Pop() interface{} {
+func (h deadlineHeap) Len() int { return len(h) }
+func (h deadlineHeap) Less(i, j int) bool {
+	if h[i].deadline != h[j].deadline {
+		return h[i].deadline < h[j].deadline
+	}
+	return h[i].id < h[j].id
+}
+func (h deadlineHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx, h[j].heapIdx = i, j
+}
+func (h *deadlineHeap) Push(x any) {
+	obj := x.(*object)
+	obj.heapIdx = len(*h)
+	*h = append(*h, obj)
+}
+func (h *deadlineHeap) Pop() any {
 	old := *h
 	n := len(old)
-	it := old[n-1]
+	obj := old[n-1]
+	old[n-1] = nil
+	obj.heapIdx = -1
 	*h = old[:n-1]
-	return it
+	return obj
 }
 
 // EnergyAccount breaks down MRM energy by cause. Write energy varies per
@@ -338,9 +352,6 @@ func New(cfg Config) (*MRM, error) {
 	for c := range cfg.Classes {
 		m.openZone[Class(c)] = -1
 	}
-	for i := range m.zones {
-		m.zones[i].objects = make(map[ObjectID]bool)
-	}
 	return m, nil
 }
 
@@ -422,7 +433,7 @@ func (m *MRM) Put(size units.Bytes, opts WriteOptions) (ObjectID, time.Duration,
 // worst-extent write latency. It returns the number of objects stored; when
 // that number i is < len(sizes), the error says why object i failed. A failed
 // call stores objects [0, i) exactly as PutBatch(sizes[:i]) would, and leaves
-// no trace of object i or any later one: no id consumed, no zone membership,
+// no trace of object i or any later one: no id consumed, no zone live count,
 // no deadline-heap entry, no zone left open but unwritten. Device writes it
 // issued stay charged, a faulted one included.
 func (m *MRM) PutBatch(sizes []units.Bytes, opts WriteOptions, ids []ObjectID, lats []time.Duration) (int, error) {
@@ -440,7 +451,7 @@ func (m *MRM) PutBatch(sizes []units.Bytes, opts WriteOptions, ids []ObjectID, l
 		start = m.putEnds[i]
 		obj.deadline = m.objectDeadline(obj)
 		m.objects[obj.id] = obj
-		heap.Push(&m.heap, deadlineItem{id: obj.id, deadline: obj.deadline})
+		heap.Push(&m.heap, obj)
 		m.stats.Puts++
 		m.stats.BytesWritten += sizes[i]
 		ids[i] = obj.id
@@ -542,15 +553,18 @@ func (m *MRM) closePlan(from int) {
 	m.putPlan, m.putReqs = m.putPlan[:from], m.putReqs[:from]
 }
 
-// addExtents appends the planned chunks [from, to) to obj's extents, enters
-// obj in their zones, and returns the worst chunk's write latency: the
+// addExtents appends the planned chunks [from, to) to obj's extents, counts
+// them live in their zones, and returns the worst chunk's write latency: the
 // class's cell write time plus the transfer at write bandwidth wbw.
 func (m *MRM) addExtents(obj *object, from, to int, wbw units.Bandwidth) time.Duration {
 	op := m.ops[obj.class]
 	var worst time.Duration
+	if obj.extents == nil {
+		obj.extents = obj.ext0[:0]
+	}
 	for _, e := range m.putPlan[from:to] {
 		obj.extents = append(obj.extents, extent{zone: e.zid, off: e.off, size: e.size})
-		m.zones[e.zid].objects[obj.id] = true
+		m.zones[e.zid].live++
 		worst = max(worst, op.WriteLatency+wbw.Time(e.size))
 	}
 	return worst
@@ -808,28 +822,27 @@ func appendRun(runs []memdev.SizeRun, r memdev.SizeRun) []memdev.SizeRun {
 }
 
 // NextDeadline reports the earliest simulated time at which Tick would
-// perform deadline housekeeping: the fire time — deadline minus the refresh
-// margin for PolicyRefresh objects, the deadline itself for PolicyDrop — of
-// the earliest live heap entry, mirroring Tick's own staleness filter. The
-// scan is linear over the heap; it runs once per idle window, not per step.
+// perform deadline housekeeping: the earliest fire time (see fireAt) of a
+// live object. The heap holds exactly the live objects, but it is keyed on
+// deadline and refresh margins differ by class, so the scan is linear over
+// it; it runs once per idle window, not per step.
 func (m *MRM) NextDeadline() (time.Duration, bool) {
 	var best time.Duration
-	found := false
-	for _, it := range m.heap {
-		obj, ok := m.objects[it.id]
-		if !ok || it.deadline != obj.deadline || obj.state != objLive {
-			continue // stale entry; Tick would pop and ignore it
-		}
-		fire := it.deadline
-		if obj.opts.Policy == PolicyRefresh {
-			margin := time.Duration(float64(m.cfg.Classes[obj.class]) * m.cfg.RefreshMargin)
-			fire = it.deadline - margin
-		}
-		if !found || fire < best {
-			best, found = fire, true
+	for i, obj := range m.heap {
+		if fire := m.fireAt(obj); i == 0 || fire < best {
+			best = fire
 		}
 	}
-	return best, found
+	return best, len(m.heap) > 0
+}
+
+// fireAt is when Tick handles obj: its deadline minus the refresh margin
+// under PolicyRefresh, the deadline itself under PolicyDrop.
+func (m *MRM) fireAt(obj *object) time.Duration {
+	if obj.opts.Policy != PolicyRefresh {
+		return obj.deadline
+	}
+	return obj.deadline - time.Duration(float64(m.cfg.Classes[obj.class])*m.cfg.RefreshMargin)
 }
 
 // results returns the scratch result buffer sized for n device accesses.
@@ -847,6 +860,9 @@ func (m *MRM) Delete(id ObjectID) error {
 	if !ok {
 		return fmt.Errorf("core: no object %d", id)
 	}
+	if obj.state == objLive {
+		heap.Remove(&m.heap, obj.heapIdx)
+	}
 	m.dropExtents(obj)
 	obj.state = objDeleted
 	delete(m.objects, id)
@@ -854,14 +870,15 @@ func (m *MRM) Delete(id ObjectID) error {
 	return nil
 }
 
-// dropExtents removes the object from zone membership and resets zones that
-// become dead, and moves the ref key. Open zones are never reset mid-fill.
+// dropExtents uncounts the object's extents from their zones' live counts,
+// resets zones that become dead, and moves the ref key. Open zones are never
+// reset mid-fill.
 func (m *MRM) dropExtents(obj *object) {
 	for _, ext := range obj.extents {
 		zm := &m.zones[ext.zone]
-		delete(zm.objects, obj.id)
+		zm.live--
 		zn, _ := m.zoned.Zone(ext.zone)
-		if len(zm.objects) == 0 && zn.State != controller.ZoneEmpty && zn.State != controller.ZoneOpen {
+		if zm.live == 0 && zn.State != controller.ZoneEmpty && zn.State != controller.ZoneOpen {
 			m.resetZone(ext.zone)
 		}
 	}
@@ -886,33 +903,20 @@ func (m *MRM) Tick(dt time.Duration) error {
 	// interval. Modeled statistically rather than per-zone events.
 	m.accountScrub(dt)
 
-	// Process deadlines.
-	for m.heap.Len() > 0 {
-		top := m.heap[0]
-		obj, ok := m.objects[top.id]
-		if !ok || top.deadline != obj.deadline || obj.state != objLive {
-			heap.Pop(&m.heap) // stale entry
-			continue
-		}
-		margin := time.Duration(float64(m.cfg.Classes[obj.class]) * m.cfg.RefreshMargin)
+	// Process deadlines in (deadline, id) order, stopping at the first
+	// object not yet due.
+	for len(m.heap) > 0 && m.fireAt(m.heap[0]) <= now {
+		obj := m.heap[0]
 		if obj.opts.Policy == PolicyRefresh {
-			if top.deadline-margin > now {
-				break
-			}
-			heap.Pop(&m.heap)
 			if err := m.refreshObject(obj); err != nil {
 				return err
 			}
-			heap.Push(&m.heap, deadlineItem{id: obj.id, deadline: obj.deadline})
-		} else {
-			if top.deadline > now {
-				break
-			}
-			heap.Pop(&m.heap)
-			m.dropExtents(obj)
-			obj.state = objExpired
-			m.stats.Expirations++
+			continue
 		}
+		heap.Pop(&m.heap)
+		m.dropExtents(obj)
+		obj.state = objExpired
+		m.stats.Expirations++
 	}
 	// Let the zoned layer mark anything else expired (defensive); reclaim
 	// dead zones.
@@ -924,7 +928,7 @@ func (m *MRM) Tick(dt time.Duration) error {
 				m.openZone[c] = -1
 			}
 		}
-		if len(m.zones[zid].objects) == 0 {
+		if m.zones[zid].live == 0 {
 			m.resetZone(zid)
 		}
 	}
@@ -944,11 +948,12 @@ func (m *MRM) resetZone(zid int) {
 	}
 }
 
-// refreshObject rewrites the object into fresh zones, extending its deadline
-// by one retention period. An uncorrectable read during refresh does not fail
-// the object: PolicyRefresh data (weights) has a durable upstream copy, so the
-// rewrite proceeds from there and the event is counted as a restore. A failed
-// rewrite leaves the object expired, with no extents.
+// refreshObject rewrites the live object into fresh zones, extending its
+// deadline by one retention period, and re-keys its heap entry. An
+// uncorrectable read during refresh does not fail the object: PolicyRefresh
+// data (weights) has a durable upstream copy, so the rewrite proceeds from
+// there and the event is counted as a restore. A failed rewrite leaves the
+// object expired, with no extents and no heap entry.
 func (m *MRM) refreshObject(obj *object) error {
 	// Read the live data (energy), then rewrite.
 	restored := false
@@ -975,11 +980,13 @@ func (m *MRM) refreshObject(obj *object) error {
 	if n, err := m.write([]units.Bytes{obj.size}, obj.class, true); n == 0 {
 		// The old copy is gone and the new one left no trace: the object is
 		// lost, and reads get ErrExpired.
+		heap.Remove(&m.heap, obj.heapIdx)
 		obj.state = objExpired
 		return fmt.Errorf("core: refresh write: %w", err)
 	}
 	m.addExtents(obj, 0, m.putEnds[0], m.zoned.Device().Spec().WriteBW)
 	obj.deadline = m.objectDeadline(obj)
+	heap.Fix(&m.heap, obj.heapIdx)
 	m.stats.Refreshes++
 	m.stats.BytesRefreshed += obj.size
 	return nil
@@ -1020,68 +1027,51 @@ func (m *MRM) Compact(threshold float64) (int, error) {
 	if threshold <= 0 || threshold >= 1 {
 		return 0, fmt.Errorf("core: compaction threshold %v outside (0,1)", threshold)
 	}
+	// Live bytes per zone, from one pass over the live objects (the heap).
+	live := make([]units.Bytes, len(m.zones))
+	for _, obj := range m.heap {
+		for _, ext := range obj.extents {
+			live[ext.zone] += ext.size
+		}
+	}
 	// Identify victim zones: full (not open — the writer still owns those),
 	// some live data, live fraction <= threshold.
-	type victim struct {
-		id   int
-		live units.Bytes
-	}
-	var victims []victim
+	var victims []int
 	for zid := range m.zones {
 		zn, err := m.zoned.Zone(zid)
 		if err != nil || zn.State != controller.ZoneFull {
 			continue
 		}
-		var live units.Bytes
-		for oid := range m.zones[zid].objects {
-			obj := m.objects[oid]
-			if obj == nil || obj.state != objLive {
-				continue
-			}
-			for _, ext := range obj.extents {
-				if ext.zone == zid {
-					live += ext.size
-				}
-			}
-		}
-		if live > 0 && float64(live)/float64(zn.Size) <= threshold {
-			victims = append(victims, victim{id: zid, live: live})
+		if live[zid] > 0 && float64(live[zid])/float64(zn.Size) <= threshold {
+			victims = append(victims, zid)
 		}
 	}
 	reclaimed := 0
-	for _, v := range victims {
-		// Relocate every live object that has extents in this zone.
+	var movers []*object
+	for _, zid := range victims {
+		// Relocate every live object that has extents in this zone now.
 		// (Objects may span zones; the whole object moves, which also
 		// defragments it.)
-		var movers []*object
-		for oid := range m.zones[v.id].objects {
-			obj := m.objects[oid]
-			if obj != nil && obj.state == objLive {
+		movers = movers[:0]
+		for _, obj := range m.heap {
+			if slices.ContainsFunc(obj.extents, func(e extent) bool { return e.zone == zid }) {
 				movers = append(movers, obj)
 			}
 		}
-		// Move in id order: the map's order would make zone choice and the
-		// refresh-energy sum differ from run to run.
-		sort.Slice(movers, func(i, j int) bool { return movers[i].id < movers[j].id })
-		ok := true
+		// Move in id order: the heap's layout would make zone choice and
+		// the refresh-energy sum depend on its history.
+		slices.SortFunc(movers, func(a, b *object) int { return cmp.Compare(a.id, b.id) })
 		for _, obj := range movers {
 			if err := m.refreshObject(obj); err != nil {
 				// A failed move (no free zone, or a device fault) has
 				// expired the object, as a failed refresh in Tick does: its
 				// old copy was dropped first. Compaction stops there, and
 				// the zones reclaimed so far are reported without an error.
-				ok = false
-				break
+				return reclaimed, nil
 			}
-			// refreshObject re-pushes deadlines via the caller normally;
-			// here we must record the new deadline in the heap ourselves.
-			heap.Push(&m.heap, deadlineItem{id: obj.id, deadline: obj.deadline})
-		}
-		if !ok {
-			break
 		}
 		// dropExtents inside refreshObject reset the zone once it emptied.
-		zn, err := m.zoned.Zone(v.id)
+		zn, err := m.zoned.Zone(zid)
 		if err == nil && zn.State == controller.ZoneEmpty {
 			reclaimed++
 			m.stats.Compactions++
@@ -1094,13 +1084,15 @@ func (m *MRM) Compact(threshold float64) (int, error) {
 // no deleted object, every live extent lies inside a written region of a
 // non-empty zone, an object stamped with the current epoch is live, every one
 // of its extents still validates (a missed epoch bump or stamp clear shows
-// here) and its run summary and end are those of its validated spans, zone
-// membership matches object extents, no zone is open but unwritten, each
-// class's open zone is an open zone of that class, and the zoned controller's
-// indexes (free bytes, expiry deadlines, least-worn empty zone) agree with a
-// scan of its zones. Tests call it after workloads.
+// here) and its run summary and end are those of its validated spans, the
+// deadline heap holds each live object once, at its heapIdx, and nothing
+// else, in heap order, each zone's live count is a recount of live extents,
+// no zone is open but unwritten, each class's open zone is an open zone of
+// that class, and the zoned controller's indexes (free bytes, expiry
+// deadlines, least-worn empty zone) agree with a scan of its zones. Tests
+// call it after workloads.
 func (m *MRM) CheckInvariants() error {
-	// Object extents vs zone membership. Iterate objects in sorted-id order
+	// Object extents vs zone live counts. Iterate objects in sorted-id order
 	// so the first violation reported is the same in every run.
 	ids := make([]ObjectID, 0, len(m.objects))
 	for id := range m.objects {
@@ -1133,7 +1125,8 @@ func (m *MRM) CheckInvariants() error {
 				id, obj.run0, obj.runs, obj.spanEnd, run0, runs, end)
 		}
 	}
-	members := make(map[int]map[ObjectID]bool, len(m.zones))
+	live := make([]int, len(m.zones))
+	nLive := 0
 	for _, id := range ids {
 		obj := m.objects[id]
 		if obj.state != objLive {
@@ -1141,6 +1134,10 @@ func (m *MRM) CheckInvariants() error {
 				return fmt.Errorf("core: non-live object %d retains extents", id)
 			}
 			continue
+		}
+		nLive++
+		if obj.heapIdx < 0 || obj.heapIdx >= len(m.heap) || m.heap[obj.heapIdx] != obj {
+			return fmt.Errorf("core: live object %d is not in the deadline heap at its index %d", id, obj.heapIdx)
 		}
 		var total units.Bytes
 		for _, ext := range obj.extents {
@@ -1154,33 +1151,26 @@ func (m *MRM) CheckInvariants() error {
 			if ext.off+ext.size > zn.WritePtr {
 				return fmt.Errorf("core: object %d extent beyond write pointer in zone %d", id, ext.zone)
 			}
-			if members[ext.zone] == nil {
-				members[ext.zone] = make(map[ObjectID]bool)
-			}
-			members[ext.zone][id] = true
+			live[ext.zone]++
 			total += ext.size
 		}
 		if total != obj.size {
 			return fmt.Errorf("core: object %d extents sum to %v, size is %v", id, total, obj.size)
 		}
 	}
+	// Every live object sits at its own index, so with as many entries as
+	// live objects the heap holds nothing else.
+	if len(m.heap) != nLive {
+		return fmt.Errorf("core: deadline heap holds %d entries for %d live objects", len(m.heap), nLive)
+	}
+	for i := 1; i < len(m.heap); i++ {
+		if m.heap.Less(i, (i-1)/2) {
+			return fmt.Errorf("core: deadline heap out of order at %d (object %d)", i, m.heap[i].id)
+		}
+	}
 	for zid := range m.zones {
-		oids := make([]ObjectID, 0, len(m.zones[zid].objects))
-		for oid := range m.zones[zid].objects {
-			oids = append(oids, oid)
-		}
-		sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-		for _, oid := range oids {
-			obj := m.objects[oid]
-			if obj == nil || obj.state != objLive {
-				return fmt.Errorf("core: zone %d lists dead object %d", zid, oid)
-			}
-			if !members[zid][oid] {
-				return fmt.Errorf("core: zone %d lists object %d with no extent there", zid, oid)
-			}
-		}
-		if got, want := len(m.zones[zid].objects), len(members[zid]); got != want {
-			return fmt.Errorf("core: zone %d membership %d != extent owners %d", zid, got, want)
+		if got, want := m.zones[zid].live, live[zid]; got != want {
+			return fmt.Errorf("core: zone %d counts %d live extents, its objects hold %d", zid, got, want)
 		}
 		if zn, _ := m.zoned.Zone(zid); zn.State == controller.ZoneOpen && zn.WritePtr == 0 {
 			return fmt.Errorf("core: zone %d is open but unwritten", zid)

@@ -593,3 +593,60 @@ func TestInvariantsUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeadlineHeapStaysExactUnderChurn drives a serving node through 50,000
+// batches of eight KV pages, each batch deleted one batch later, with a
+// 15-second Tick after each: 8.7 days, in which the node's own 64 pages
+// expire and its weights are refreshed once. The deadline heap must hold
+// exactly the live objects after every batch, and its capacity must stay
+// bounded by them, not grow with the 400,000 pages ever written.
+func TestDeadlineHeapStaysExactUnderChurn(t *testing.T) {
+	m := newServingMRM(t)
+	sizes := make([]units.Bytes, 8)
+	for i := range sizes {
+		sizes[i] = 8 * units.MiB
+	}
+	ids := make([]ObjectID, len(sizes))
+	lats := make([]time.Duration, len(sizes))
+	var prev []ObjectID
+	peak := 0
+	for i := 0; i < 50000; i++ {
+		n, err := m.PutBatch(sizes, kvOpts, ids, lats)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		for _, id := range prev {
+			if err := m.Delete(id); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+		prev = append(prev[:0], ids[:n]...)
+		if err := m.Tick(15 * time.Second); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		live := 0
+		for _, obj := range m.objects {
+			if obj.state == objLive {
+				live++
+			}
+		}
+		if len(m.heap) != live {
+			t.Fatalf("batch %d: deadline heap holds %d entries for %d live objects", i, len(m.heap), live)
+		}
+		peak = max(peak, live)
+		if i%5000 == 0 {
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+	}
+	if s := m.Stats(); s.Expirations != 64 || s.Refreshes != 1 {
+		t.Fatalf("churn saw %d expirations and %d refreshes, want 64 and 1", s.Expirations, s.Refreshes)
+	}
+	if c := cap(m.heap); c > 2*peak {
+		t.Fatalf("deadline heap capacity %d for at most %d live objects", c, peak)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
