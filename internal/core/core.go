@@ -231,9 +231,11 @@ type Stats struct {
 	Refreshes           int64 // object refresh/relocation events
 	Expirations         int64 // objects dropped at deadline
 	Restores            int64 // refresh reads lost to faults, restored from upstream
-	ScrubPasses         int64
-	ZoneResets          int64
-	Compactions         int64 // zones reclaimed by Compact
+	// ScrubPasses sums the scrub sweeps charged over the classes. It is
+	// fractional, like the scrub energy, so it does not depend on Tick length.
+	ScrubPasses float64
+	ZoneResets  int64
+	Compactions int64 // zones reclaimed by Compact
 }
 
 // MRM is a managed-retention memory with its control plane. Not safe for
@@ -994,7 +996,6 @@ func (m *MRM) refreshObject(obj *object) error {
 
 // accountScrub charges scrub read energy for dt of elapsed time.
 func (m *MRM) accountScrub(dt time.Duration) {
-	spec := m.zoned.Device().Spec()
 	for c := range m.cfg.Classes {
 		plan := m.scrub[c]
 		if plan.Interval <= 0 {
@@ -1012,8 +1013,9 @@ func (m *MRM) accountScrub(dt time.Duration) {
 			continue
 		}
 		passes := dt.Seconds() / plan.Interval.Seconds()
+		spec := m.zoned.Device().Spec()
 		m.energy.ScrubRead += units.Energy(float64(spec.ReadEnergyPerBit.PerBit(occupied)) * passes)
-		m.stats.ScrubPasses += int64(passes)
+		m.stats.ScrubPasses += passes
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -275,6 +276,38 @@ func TestScrubAccounting(t *testing.T) {
 	}
 	if m.Energy().ScrubRead <= 0 {
 		t.Error("scrub energy expected with SECDED-only protection")
+	}
+}
+
+// TestScrubPassesIndependentOfTickLength charges two days of SECDED scrub
+// once as 2,880 one-minute Ticks and once as one 48-hour Tick: both must
+// count the same scrub passes, and more than zero, as they charge the same
+// scrub energy. A count that truncated each Tick's fraction read 0 for the
+// short Ticks.
+func TestScrubPassesIndependentOfTickLength(t *testing.T) {
+	run := func(ticks int, dt time.Duration) *MRM {
+		cfg := smallConfig()
+		cfg.Code = ecc.HammingSpec()
+		cfg.UBERTarget = 1e-15
+		m := newMRM(t, cfg)
+		if _, _, err := m.Put(64*units.MiB, WriteOptions{Kind: KindWeights, Lifetime: 6 * 24 * time.Hour, Policy: PolicyRefresh}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ticks; i++ {
+			if err := m.Tick(dt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	short, long := run(2880, time.Minute), run(1, 48*time.Hour)
+	sp, lp := short.Stats().ScrubPasses, long.Stats().ScrubPasses
+	if lp <= 0 || math.Abs(sp-lp) > 1e-9*lp {
+		t.Fatalf("scrub passes: %v over one-minute Ticks, %v over one 48-hour Tick", sp, lp)
+	}
+	se, le := float64(short.Energy().ScrubRead), float64(long.Energy().ScrubRead)
+	if le <= 0 || math.Abs(se-le) > 1e-9*le {
+		t.Fatalf("scrub energy: %v over one-minute Ticks, %v over one 48-hour Tick", se, le)
 	}
 }
 

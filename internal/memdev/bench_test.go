@@ -102,6 +102,61 @@ func BenchmarkDeviceReadSpans(b *testing.B) {
 	b.SetBytes(int64(pages * pageBytes))
 }
 
+// fastSpansDevice builds the read a fleet day's HBM node issues per decode
+// step: 66 KV pages of 832 KiB (the fleet-day average per call) as equal-size
+// spans over a written 192 GiB HBM device an hour old. No FaultConfig is
+// armed, so ReadSpans takes the fast path, with no per-span BER scan.
+func fastSpansDevice(tb testing.TB) (*Device, []Span) {
+	tb.Helper()
+	spec := HBM3E
+	spec.Capacity = 192 * units.GiB
+	d, err := NewDevice(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const pages = 66
+	pageBytes := 832 * units.KiB
+	spans := make([]Span, pages)
+	for p := range spans {
+		spans[p] = Span{Addr: units.Bytes(p) * pageBytes, Size: pageBytes}
+	}
+	if _, err := d.WriteAt(0, pages*pageBytes); err != nil {
+		tb.Fatal(err)
+	}
+	if err := d.Advance(time.Hour); err != nil {
+		tb.Fatal(err)
+	}
+	return d, spans
+}
+
+// BenchmarkDeviceReadSpansFast times the unarmed ReadSpans path that fleet
+// days take, where BenchmarkDeviceReadSpans times the armed one.
+func BenchmarkDeviceReadSpansFast(b *testing.B) {
+	d, spans := fastSpansDevice(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := d.ReadSpans(spans, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(spans)) * int64(spans[0].Size))
+}
+
+// TestReadSpansFastAllocatesNothing pins BenchmarkDeviceReadSpansFast's
+// read at 0 allocs.
+func TestReadSpansFastAllocatesNothing(t *testing.T) {
+	d, spans := fastSpansDevice(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := d.ReadSpans(spans, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("unarmed ReadSpans of %d spans allocates %v times per call", len(spans), allocs)
+	}
+}
+
 // BenchmarkDeviceWriteLarge measures wear accounting for a weight-sized
 // write: every interior block is fully covered, so its wear update should be
 // one addition, not an overlap computation.

@@ -126,6 +126,9 @@ type Device struct {
 	// the shift replaces two 64-bit divisions there.
 	wearShift int
 	blocks    int // wear blocks on the device; the last superblock may be partial
+	// refreshPower is spec.RefreshPower(), fixed at construction: Advance
+	// runs every step and would otherwise copy the spec to recompute it.
+	refreshPower units.Power
 
 	mu         sync.Mutex
 	now        time.Duration           // simulated device-local time; guarded by mu
@@ -199,13 +202,14 @@ func NewDevice(spec Spec) (*Device, error) {
 		shift = bits.TrailingZeros64(uint64(wb))
 	}
 	return &Device{
-		spec:      spec,
-		wearBlock: wb,
-		wearShift: shift,
-		blocks:    int(n),
-		chunks:    make([]*chunk, nsb),
-		berParams: cellphys.DefaultBER,
-		op:        op,
+		spec:         spec,
+		refreshPower: spec.RefreshPower(),
+		wearBlock:    wb,
+		wearShift:    shift,
+		blocks:       int(n),
+		chunks:       make([]*chunk, nsb),
+		berParams:    cellphys.DefaultBER,
+		op:           op,
 	}, nil
 }
 
@@ -272,7 +276,7 @@ func (d *Device) Advance(dt time.Duration) error {
 	defer d.mu.Unlock()
 	d.now += dt
 	d.energy.Static += d.spec.StaticPower.Over(dt)
-	d.energy.Refresh += d.spec.RefreshPower().Over(dt)
+	d.energy.Refresh += d.refreshPower.Over(dt)
 	return nil
 }
 

@@ -55,6 +55,9 @@ func twinManagers(t *testing.T) (*Manager, *Manager, []ObjectID) {
 	}
 	a, idsA := mk()
 	b, idsB := mk()
+	if !sameSlots(&a.objects, &b.objects) {
+		t.Fatal("twin managers' id tables diverged during setup")
+	}
 	for i := range idsA {
 		if idsA[i] != idsB[i] {
 			t.Fatal("twin managers diverged during setup")
@@ -79,10 +82,13 @@ func getLoop(m *Manager, ids []ObjectID) (int, error) {
 	return len(ids), nil
 }
 
-// checkTwins compares the two managers' per-tier read accounting, backend
-// traffic, and energy.
+// checkTwins compares the two managers' id tables, per-tier read
+// accounting, backend traffic, and energy.
 func checkTwins(t *testing.T, label string, seq, bat *Manager) {
 	t.Helper()
+	if !sameSlots(&seq.objects, &bat.objects) {
+		t.Fatalf("%s: id tables diverged: %+v != %+v", label, seq.objects, bat.objects)
+	}
 	for tier := range seq.tiers {
 		if sr, br := seq.perTierReads[tier], bat.perTierReads[tier]; sr != br {
 			t.Fatalf("%s tier %d: perTierReads %v != %v", label, tier, sr, br)
@@ -107,7 +113,7 @@ func TestBackendGetBatchMatchesGets(t *testing.T) {
 	for tier := range seq.tiers {
 		var handles []uint64
 		for _, id := range ids {
-			if p := seq.objects[id]; p.tier == tier {
+			if p := seq.objects.get(uint64(id)); p.tier == tier {
 				handles = append(handles, p.handle)
 			}
 		}

@@ -67,9 +67,9 @@ func BenchmarkGetPlanned(b *testing.B) {
 // memory shapes, one batch of eight 8 MiB KV pages stored and then deleted
 // per op: /hbm on 192 GiB of HBM under static placement (HBMOnly), /hbm+mrm
 // on 24 GiB of HBM plus 384 GiB of MRM in 64 MiB zones under retention-aware
-// placement (HBMPlusMRM), where the pages land on the MRM tier. Deleted MRM
-// objects leave core's deadline heap only when a Tick pops them, so that
-// manager is rebuilt, off the clock, every 4,096 batches to keep memory flat.
+// placement (HBMPlusMRM), where the pages land on the MRM tier. Each batch
+// fills one MRM zone, which its deletes empty and reset, and the id tables
+// reuse the freed slots, so memory stays flat without a rebuild.
 func BenchmarkManagerPutBatch(b *testing.B) {
 	hbmOnly := func() *Manager {
 		spec := memdev.HBM3E
@@ -121,11 +121,6 @@ func BenchmarkManagerPutBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if i%4096 == 4095 {
-					b.StopTimer()
-					m = bc.mk()
-					b.StartTimer()
-				}
 				if n, err := m.PutBatch(metas, ids, lats, tiers); err != nil || n != len(metas) || tiers[0] != bc.tier {
 					b.Fatalf("PutBatch stored %d of %d on tier %d: %v", n, len(metas), tiers[0], err)
 				}

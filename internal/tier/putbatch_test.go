@@ -2,7 +2,6 @@ package tier
 
 import (
 	"errors"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,9 +15,9 @@ import (
 
 // compareManagerPutTwins drives seq with one-object Puts (stopping at the
 // first error) and bat with one PutBatch over the same metas, then requires
-// identical done counts, errors, ids, latencies, tier choices, id-allocation
-// state, free space, backend traffic, and backend energy, and every backend's
-// invariants to hold on both.
+// identical done counts, errors, ids, latencies, tier choices, id tables
+// (see sameSlots), free space, backend traffic, and backend energy, and every
+// backend's invariants to hold on both.
 func compareManagerPutTwins(t *testing.T, label string, seq, bat *Manager, metas []Meta) (int, error) {
 	t.Helper()
 	seqIDs := make([]ObjectID, len(metas))
@@ -54,8 +53,8 @@ func compareManagerPutTwins(t *testing.T, label string, seq, bat *Manager, metas
 				label, i, batIDs[i], batLats[i], batTiers[i], seqIDs[i], seqLats[i], seqTiers[i])
 		}
 	}
-	if seq.nextID != bat.nextID {
-		t.Fatalf("%s: nextID diverged: %d != %d", label, seq.nextID, bat.nextID)
+	if !sameSlots(&seq.objects, &bat.objects) {
+		t.Fatalf("%s: id tables diverged: %+v != %+v", label, seq.objects, bat.objects)
 	}
 	if sn, bn := seq.NumObjects(), bat.NumObjects(); sn != bn {
 		t.Fatalf("%s: object count diverged: %d != %d", label, sn, bn)
@@ -112,14 +111,15 @@ func storeManagerPrefix(t *testing.T, label string, pre *Manager, metas []Meta, 
 	}
 }
 
-// samePlacement requires m's placement state to equal pre's: the next id,
-// every placed object's tier, handle and meta, and every device tier's free
-// list, free bytes and handles. With exact set, where the failure issued no
+// samePlacement requires m's placement state to equal pre's: the id table
+// (every placed object's tier, handle and meta, and the slot generations and
+// free list that decide future ids), and every device tier's free list, free
+// bytes and handle table. With exact set, where the failure issued no
 // device write, every tier's free bytes, traffic, and energy must match too.
 func samePlacement(t *testing.T, label string, m, pre *Manager, exact bool) {
 	t.Helper()
-	if m.nextID != pre.nextID || !maps.Equal(m.objects, pre.objects) {
-		t.Fatalf("%s: next id %d, objects %v; prefix twin %d, %v", label, m.nextID, m.objects, pre.nextID, pre.objects)
+	if !sameSlots(&m.objects, &pre.objects) {
+		t.Fatalf("%s: objects %+v; prefix twin %+v", label, m.objects, pre.objects)
 	}
 	for ti, b := range m.tiers {
 		d, ok := b.(*DeviceTier)
@@ -127,9 +127,9 @@ func samePlacement(t *testing.T, label string, m, pre *Manager, exact bool) {
 			continue
 		}
 		p := pre.tiers[ti].(*DeviceTier)
-		if !slices.Equal(d.free, p.free) || d.freeB != p.freeB || d.nextID != p.nextID || !maps.Equal(d.objects, p.objects) {
-			t.Fatalf("%s tier %d: free list %v (%v), next handle %d; prefix twin %v (%v), %d",
-				label, ti, d.free, d.freeB, d.nextID, p.free, p.freeB, p.nextID)
+		if !slices.Equal(d.free, p.free) || d.freeB != p.freeB || !sameSlots(&d.objects, &p.objects) {
+			t.Fatalf("%s tier %d: free list %v (%v), handles %+v; prefix twin %v (%v), %+v",
+				label, ti, d.free, d.freeB, d.objects, p.free, p.freeB, p.objects)
 		}
 	}
 	if exact {
@@ -231,14 +231,21 @@ func TestManagerPutBatchUnderWriteFaults(t *testing.T) {
 	sawFault := false
 	for round := 0; round < 50; round++ {
 		faults := memdev.FaultConfig{Seed: uint64(17 + round), WriteFaultRate: 0.1}
-		var history []func(m *Manager)
+		// Each step stores an object and deletes the del-th of the ids the
+		// manager stored and has not yet deleted, if there is one.
+		var history []func(m *Manager, live *[]ObjectID)
 		for k := rng.Intn(8); k > 0; k-- {
 			meta := kvMeta(units.Bytes(1+rng.Intn(16)) * 256 * units.KiB)
-			del := ObjectID(rng.Intn(6))
+			del := rng.Intn(6)
 			dt := time.Duration(rng.Int63n(int64(time.Minute)))
-			history = append(history, func(m *Manager) {
-				_, _, _ = m.Put(meta)
-				_ = m.Delete(del)
+			history = append(history, func(m *Manager, live *[]ObjectID) {
+				if id, _, err := m.Put(meta); err == nil {
+					*live = append(*live, id)
+				}
+				if del < len(*live) {
+					_ = m.Delete((*live)[del])
+					*live = slices.Delete(*live, del, del+1)
+				}
 				_ = m.Tick(dt)
 			})
 		}
@@ -247,8 +254,9 @@ func TestManagerPutBatchUnderWriteFaults(t *testing.T) {
 			for _, b := range m.Backends() {
 				b.(Faultable).SetFaults(faults)
 			}
+			var live []ObjectID
 			for _, h := range history {
-				h(m)
+				h(m, &live)
 			}
 		}
 		n := 1 + rng.Intn(6)
@@ -269,8 +277,8 @@ func TestManagerPutBatchUnderWriteFaults(t *testing.T) {
 }
 
 // TestDeviceTierPutBatchRewindsFreeList pins the device-error rollback: after
-// a mid-batch program failure, the free list, free-byte count, id space and
-// device counters must match one-object Puts exactly, and the free list,
+// a mid-batch program failure, the free list, free-byte count, handle table
+// and device counters must match one-object Puts exactly, and the free list,
 // free bytes, handles and objects must match a prefix twin that stored only
 // the objects before the failure: the failing object's span is back on the
 // free list.
@@ -313,9 +321,9 @@ func TestDeviceTierPutBatchRewindsFreeList(t *testing.T) {
 		if !slices.Equal(seq.free, bat.free) {
 			t.Fatalf("round %d: free list %+v != one at a time %+v", round, bat.free, seq.free)
 		}
-		if seq.freeB != bat.freeB || seq.nextID != bat.nextID {
-			t.Fatalf("round %d: (freeB %v, nextID %d) != one at a time (%v, %d)",
-				round, bat.freeB, bat.nextID, seq.freeB, seq.nextID)
+		if seq.freeB != bat.freeB || !sameSlots(&seq.objects, &bat.objects) {
+			t.Fatalf("round %d: (freeB %v, handles %+v) != one at a time (%v, %+v)",
+				round, bat.freeB, bat.objects, seq.freeB, seq.objects)
 		}
 		if ss, bs := seq.dev.Stats(), bat.dev.Stats(); ss != bs {
 			t.Fatalf("round %d: device stats %+v != one at a time %+v", round, bs, ss)
@@ -323,9 +331,9 @@ func TestDeviceTierPutBatchRewindsFreeList(t *testing.T) {
 		if got, err := pre.PutBatch(metas[:batDone], handles, lats); got != batDone || err != nil {
 			t.Fatalf("round %d: prefix twin stored %d of %d: %v", round, got, batDone, err)
 		}
-		if !slices.Equal(pre.free, bat.free) || pre.freeB != bat.freeB || pre.nextID != bat.nextID || !maps.Equal(pre.objects, bat.objects) {
-			t.Fatalf("round %d: free list %+v (%v), next handle %d; prefix twin %+v (%v), %d",
-				round, bat.free, bat.freeB, bat.nextID, pre.free, pre.freeB, pre.nextID)
+		if !slices.Equal(pre.free, bat.free) || pre.freeB != bat.freeB || !sameSlots(&pre.objects, &bat.objects) {
+			t.Fatalf("round %d: free list %+v (%v), handles %+v; prefix twin %+v (%v), %+v",
+				round, bat.free, bat.freeB, bat.objects, pre.free, pre.freeB, pre.objects)
 		}
 		if err := bat.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)

@@ -135,14 +135,15 @@ type BatchPutter interface {
 
 // ---- Device-backed tier (HBM / LPDDR / DDR) ----
 
-// DeviceTier wraps a raw memdev.Device with a first-fit allocator.
+// DeviceTier wraps a raw memdev.Device with a first-fit allocator. Object
+// handles are slot handles (see slotTable).
 type DeviceTier struct {
 	name string
 	dev  *memdev.Device
+	info Info // the device's fixed properties; Info fills in Free
 	// free is a sorted, coalesced list of free extents.
 	free    []span
-	objects map[uint64]span
-	nextID  uint64
+	objects slotTable[span]
 	freeB   units.Bytes
 	spanBuf []memdev.Span   // scratch for GetBatch/PutBatch, reused across calls
 	resBuf  []memdev.Result // scratch for PutBatch, reused across calls
@@ -159,27 +160,28 @@ func NewDeviceTier(name string, spec memdev.Spec) (*DeviceTier, error) {
 		return nil, err
 	}
 	return &DeviceTier{
-		name:    name,
-		dev:     dev,
-		free:    []span{{addr: 0, size: spec.Capacity}},
-		objects: make(map[uint64]span),
-		freeB:   spec.Capacity,
+		name: name,
+		dev:  dev,
+		info: Info{
+			Name:             name,
+			Capacity:         spec.Capacity,
+			ReadBW:           spec.ReadBW,
+			ReadEnergyPerBit: spec.ReadEnergyPerBit,
+		},
+		free:  []span{{addr: 0, size: spec.Capacity}},
+		freeB: spec.Capacity,
 	}, nil
 }
 
 // Name returns the tier name.
 func (d *DeviceTier) Name() string { return d.name }
 
-// Info reports placement-relevant properties.
+// Info reports placement-relevant properties. Placement asks for it on
+// every PutBatch, so it copies no device spec.
 func (d *DeviceTier) Info() Info {
-	s := d.dev.Spec()
-	return Info{
-		Name:             d.name,
-		Capacity:         s.Capacity,
-		Free:             d.freeB,
-		ReadBW:           s.ReadBW,
-		ReadEnergyPerBit: s.ReadEnergyPerBit,
-	}
+	info := d.info
+	info.Free = d.freeB
+	return info
 }
 
 // alloc carves size bytes out of the free list first-fit, returning the
@@ -263,10 +265,9 @@ func (d *DeviceTier) PutBatch(metas []Meta, handles []uint64, lats []time.Durati
 		}
 	}
 	for j, sp := range d.spanBuf[:done] {
-		d.objects[d.nextID] = span{addr: sp.Addr, size: sp.Size}
 		d.freeB -= sp.Size
-		handles[j], lats[j] = d.nextID, d.resBuf[j].Latency
-		d.nextID++
+		handles[j] = d.objects.put(span{addr: sp.Addr, size: sp.Size})
+		lats[j] = d.resBuf[j].Latency
 	}
 	return done, err
 }
@@ -276,7 +277,7 @@ func (d *DeviceTier) PutBatch(metas []Meta, handles []uint64, lats []time.Durati
 // free spans tile the capacity exactly. Tests call it after workloads.
 func (d *DeviceTier) CheckInvariants() error {
 	var free units.Bytes
-	spans := make([]span, 0, len(d.free)+len(d.objects))
+	spans := make([]span, 0, len(d.free)+d.objects.live)
 	for i, f := range d.free {
 		if f.size == 0 {
 			return fmt.Errorf("tier: %s: empty free span at %d", d.name, f.addr)
@@ -290,8 +291,15 @@ func (d *DeviceTier) CheckInvariants() error {
 	if free != d.freeB {
 		return fmt.Errorf("tier: %s: free counter %v != free-list sum %v", d.name, d.freeB, free)
 	}
-	for _, sp := range d.objects {
-		spans = append(spans, sp)
+	live := 0
+	for _, e := range d.objects.entries {
+		if e.used {
+			spans = append(spans, e.val)
+			live++
+		}
+	}
+	if live != d.objects.live {
+		return fmt.Errorf("tier: %s: %d objects in use, live count %d", d.name, live, d.objects.live)
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].addr < spans[j].addr })
 	var end units.Bytes
@@ -301,7 +309,7 @@ func (d *DeviceTier) CheckInvariants() error {
 		}
 		end += sp.size
 	}
-	if c := d.dev.Spec().Capacity; end != c {
+	if c := d.info.Capacity; end != c {
 		return fmt.Errorf("tier: %s: objects and free spans cover %v of %v", d.name, end, c)
 	}
 	return nil
@@ -309,8 +317,8 @@ func (d *DeviceTier) CheckInvariants() error {
 
 // Get reads an object.
 func (d *DeviceTier) Get(handle uint64) (time.Duration, error) {
-	sp, ok := d.objects[handle]
-	if !ok {
+	sp := d.objects.get(handle)
+	if sp == nil {
 		return 0, fmt.Errorf("tier: %s has no object %d", d.name, handle)
 	}
 	res, err := d.dev.ReadAt(sp.addr, sp.size)
@@ -325,8 +333,8 @@ func (d *DeviceTier) Get(handle uint64) (time.Duration, error) {
 func (d *DeviceTier) GetBatch(handles []uint64) (int, error) {
 	d.spanBuf = d.spanBuf[:0]
 	for _, h := range handles {
-		sp, ok := d.objects[h]
-		if !ok {
+		sp := d.objects.get(h)
+		if sp == nil {
 			// A sequential caller has read the earlier handles before failing
 			// this lookup; a device error among those takes precedence.
 			done, _, derr := d.dev.ReadSpans(d.spanBuf, nil)
@@ -345,8 +353,8 @@ func (d *DeviceTier) GetBatch(handles []uint64) (int, error) {
 // SpanGetter). Device-tier objects never move, so the span is valid until the
 // object is deleted.
 func (d *DeviceTier) ResolveSpan(handle uint64) (memdev.Span, error) {
-	sp, ok := d.objects[handle]
-	if !ok {
+	sp := d.objects.get(handle)
+	if sp == nil {
 		return memdev.Span{}, fmt.Errorf("tier: %s has no object %d", d.name, handle)
 	}
 	return memdev.Span{Addr: sp.addr, Size: sp.size}, nil
@@ -363,11 +371,10 @@ func (d *DeviceTier) GetSpans(spans []memdev.Span) (int, error) {
 
 // Delete frees an object, coalescing adjacent free spans.
 func (d *DeviceTier) Delete(handle uint64) error {
-	sp, ok := d.objects[handle]
+	sp, ok := d.objects.del(handle)
 	if !ok {
 		return fmt.Errorf("tier: %s has no object %d", d.name, handle)
 	}
-	delete(d.objects, handle)
 	d.freeB += sp.size
 	d.release(sp)
 	return nil
@@ -394,7 +401,7 @@ func (d *DeviceTier) Traffic() (units.Bytes, units.Bytes) {
 type MRMTier struct {
 	name    string
 	mrm     *core.MRM
-	maxRet  time.Duration   // the longest retention class, fixed at construction
+	info    Info            // the MRM's fixed properties; Info fills in Free
 	idBuf   []core.ObjectID // scratch for PutBatch, reused across calls
 	sizeBuf []units.Bytes   // scratch for PutBatch, reused across calls
 	refBuf  []core.ObjRef   // scratch for GetBatch, reused across calls
@@ -403,7 +410,15 @@ type MRMTier struct {
 // NewMRMTier wraps an MRM.
 func NewMRMTier(name string, m *core.MRM) *MRMTier {
 	classes := m.Classes()
-	return &MRMTier{name: name, mrm: m, maxRet: classes[len(classes)-1]}
+	s := m.Spec()
+	return &MRMTier{name: name, mrm: m, info: Info{
+		Name:             name,
+		Capacity:         m.Capacity(),
+		ReadBW:           s.ReadBW,
+		ReadEnergyPerBit: s.ReadEnergyPerBit,
+		Managed:          true,
+		MaxRetention:     classes[len(classes)-1],
+	}}
 }
 
 // Name returns the tier name.
@@ -413,18 +428,11 @@ func (t *MRMTier) Name() string { return t.name }
 func (t *MRMTier) MRM() *core.MRM { return t.mrm }
 
 // Info reports placement-relevant properties. Placement asks for it on
-// every PutBatch, so it copies nothing.
+// every PutBatch, so it copies no device spec.
 func (t *MRMTier) Info() Info {
-	s := t.mrm.Spec()
-	return Info{
-		Name:             t.name,
-		Capacity:         t.mrm.Capacity(),
-		Free:             t.mrm.FreeBytes(),
-		ReadBW:           s.ReadBW,
-		ReadEnergyPerBit: s.ReadEnergyPerBit,
-		Managed:          true,
-		MaxRetention:     t.maxRet,
-	}
+	info := t.info
+	info.Free = t.mrm.FreeBytes()
+	return info
 }
 
 // writeOptions maps a meta to the MRM write options Put uses: soft state
@@ -665,20 +673,20 @@ type placed struct {
 	meta   Meta
 }
 
-// Manager places objects across tiers under a policy.
+// Manager places objects across tiers under a policy. Object ids are slot
+// handles (see slotTable).
 type Manager struct {
 	tiers   []Backend
 	policy  Policy
-	objects map[ObjectID]placed
-	nextID  ObjectID
+	objects slotTable[placed]
 
 	perTierReads []units.Bytes // bytes read via Get, indexed by tier
 	reseats      int64
 	handleBuf    []uint64 // scratch for PutBatch, reused across calls
 	infoBuf      []Info   // scratch for Put/PutBatch placement, reused across calls
 	// readBW caches each backend's read bandwidth, which is fixed at device
-	// construction; ReadTime runs per decode step and must not pay Info()
-	// (which copies the device spec) to learn a constant.
+	// construction; ReadTime runs per decode step and must not pay an Info()
+	// call per tier to learn a constant.
 	readBW []units.Bandwidth
 
 	// Backoff is the base delay charged before a Reseat attempt (the
@@ -698,7 +706,6 @@ func NewManager(policy Policy, tiers ...Backend) (*Manager, error) {
 	return &Manager{
 		tiers:        tiers,
 		policy:       policy,
-		objects:      make(map[ObjectID]placed),
 		perTierReads: make([]units.Bytes, len(tiers)),
 		readBW:       readBW,
 		Backoff:      100 * time.Microsecond,
@@ -833,18 +840,16 @@ func (m *Manager) flushRun(idx int, metas []Meta, ids []ObjectID, lats []time.Du
 	handles := m.handleBuf[:len(metas)]
 	got, err := m.tiers[idx].PutBatch(metas, handles, lats)
 	for i := 0; i < got; i++ {
-		id := m.nextID
-		m.nextID++
-		m.objects[id] = placed{tier: idx, handle: handles[i], meta: metas[i]}
-		ids[i], tiers[i] = id, idx
+		ids[i] = ObjectID(m.objects.put(placed{tier: idx, handle: handles[i], meta: metas[i]}))
+		tiers[i] = idx
 	}
 	return got, err
 }
 
 // Get reads an object, returning the read latency and the tier it came from.
 func (m *Manager) Get(id ObjectID) (time.Duration, int, error) {
-	p, ok := m.objects[id]
-	if !ok {
+	p := m.objects.get(uint64(id))
+	if p == nil {
 		return 0, 0, fmt.Errorf("tier: no object %d", id)
 	}
 	lat, err := m.tiers[p.tier].Get(p.handle)
@@ -962,8 +967,8 @@ func (p *ReadPlan) Truncate(n int) {
 // errors match Get's: a missing id fails the manager lookup, an expired or
 // deleted MRM object fails ref resolution.
 func (m *Manager) PlanAppend(p *ReadPlan, id ObjectID) error {
-	pl, ok := m.objects[id]
-	if !ok {
+	pl := m.objects.get(uint64(id))
+	if pl == nil {
 		return fmt.Errorf("tier: no object %d", id)
 	}
 	kind, off := planGets, 0
@@ -1055,34 +1060,34 @@ func (m *Manager) NextHousekeeping() (time.Duration, bool) {
 
 // Delete removes an object.
 func (m *Manager) Delete(id ObjectID) error {
-	p, ok := m.objects[id]
+	p, ok := m.objects.del(uint64(id))
 	if !ok {
 		return fmt.Errorf("tier: no object %d", id)
 	}
-	delete(m.objects, id)
 	return m.tiers[p.tier].Delete(p.handle)
 }
 
 // Forget drops the manager's record of an object without touching the
 // backend — used when the backend already dropped it (MRM soft-state expiry).
+// Forgetting an id that names no object does nothing.
 func (m *Manager) Forget(id ObjectID) {
-	delete(m.objects, id)
+	m.objects.del(uint64(id))
 }
 
 // Reseat re-places an object whose copy on its current tier was lost to an
 // uncorrectable error. The failed copy is deleted (tolerating backends that
 // already dropped it) and the object is rewritten from its durable upstream
 // copy, preferring any tier other than the one that failed; when nothing else
-// fits, it is restored in place. The object keeps its id. Returns the write
-// latency of the re-placement; callers add their own backoff.
+// fits, it is restored in place. The object keeps its id; a failed Reseat
+// forgets it. Returns the write latency of the re-placement; callers add
+// their own backoff.
 func (m *Manager) Reseat(id ObjectID) (time.Duration, error) {
-	p, ok := m.objects[id]
-	if !ok {
+	p := m.objects.get(uint64(id))
+	if p == nil {
 		return 0, fmt.Errorf("tier: no object %d", id)
 	}
 	failed := p.tier
 	_ = m.tiers[failed].Delete(p.handle)
-	delete(m.objects, id)
 	infos := m.Tiers()
 	masked := make([]Info, len(infos))
 	copy(masked, infos)
@@ -1093,21 +1098,23 @@ func (m *Manager) Reseat(id ObjectID) (time.Duration, error) {
 		idx, err = m.policy.Place(p.meta, infos)
 	}
 	if err != nil {
+		m.objects.del(uint64(id))
 		return 0, fmt.Errorf("tier: reseat %d: %w", id, err)
 	}
 	h, lat, err := m.tiers[idx].Put(p.meta)
 	if err != nil {
+		m.objects.del(uint64(id))
 		return 0, fmt.Errorf("tier: reseat %d: %w", id, err)
 	}
-	m.objects[id] = placed{tier: idx, handle: h, meta: p.meta}
+	p.tier, p.handle = idx, h
 	m.reseats++
 	return lat, nil
 }
 
 // TierOf reports where an object lives.
 func (m *Manager) TierOf(id ObjectID) (int, error) {
-	p, ok := m.objects[id]
-	if !ok {
+	p := m.objects.get(uint64(id))
+	if p == nil {
 		return 0, fmt.Errorf("tier: no object %d", id)
 	}
 	return p.tier, nil
@@ -1115,8 +1122,8 @@ func (m *Manager) TierOf(id ObjectID) (int, error) {
 
 // Migrate moves an object to the given tier (read + rewrite).
 func (m *Manager) Migrate(id ObjectID, to int) error {
-	p, ok := m.objects[id]
-	if !ok {
+	p := m.objects.get(uint64(id))
+	if p == nil {
 		return fmt.Errorf("tier: no object %d", id)
 	}
 	if to < 0 || to >= len(m.tiers) {
@@ -1136,7 +1143,6 @@ func (m *Manager) Migrate(id ObjectID, to int) error {
 		return fmt.Errorf("tier: migrate cleanup: %w", err)
 	}
 	p.tier, p.handle = to, h
-	m.objects[id] = p
 	return nil
 }
 
@@ -1176,4 +1182,4 @@ func (m *Manager) ReadTime(perTier []units.Bytes) time.Duration {
 }
 
 // NumObjects returns the live object count.
-func (m *Manager) NumObjects() int { return len(m.objects) }
+func (m *Manager) NumObjects() int { return m.objects.live }

@@ -418,7 +418,7 @@ func TestAllocatorProperty(t *testing.T) {
 			} else {
 				h := handles[len(handles)-1]
 				handles = handles[:len(handles)-1]
-				sz := d.objects[h].size
+				sz := d.objects.get(h).size
 				if err := d.Delete(h); err != nil {
 					return false
 				}
